@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper (see DESIGN.md's
-experiment index).  The data sets are built once per session; their scale is
+Every benchmark regenerates one table or figure of the paper (see the
+section "repro.analysis and the CLI" of docs/ARCHITECTURE.md).  The data sets are built once per session; their scale is
 controlled by the ``REPRO_BENCH_SCALE`` environment variable (``tiny``,
 ``small`` -- the default -- or ``full``).  Each benchmark prints the
 regenerated table/profile and also appends it to

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate every table and figure of the paper's evaluation section.
 
-The script builds the substitute data sets described in DESIGN.md and prints,
-for each experiment, the same quantities the paper reports: Table I / II
-statistics, and the Figure 5-9 performance profiles (as tau tables and ASCII
-curves).  See EXPERIMENTS.md for the recorded outputs and the comparison with
-the paper.
+The script builds the substitute data sets described in docs/ARCHITECTURE.md
+(section "repro.analysis and the CLI") and prints, for each experiment, the
+same quantities the paper reports: Table I / II statistics, and the Figure
+5-9 performance profiles (as tau tables and ASCII curves).  The benchmark
+scripts listed in benchmarks/README.md ("Paper-replication scripts") record
+the same outputs under ``benchmarks/results/``.
 
 Run with::
 

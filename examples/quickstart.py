@@ -31,10 +31,11 @@ file exchanged with the parent) and ``n`` (execution file):
 >>> report.traversal.order[:3]
 ('root', 'right', 'right.a')
 
-The solvers run on the array-backed kernel by default; the original
-per-node implementations remain available as an oracle and always agree:
+Every algorithm has one implementation, on the array-backed kernel of
+:mod:`repro.core.kernel`.  Liu's exact algorithm reaches the same optimum
+by a different route:
 
->>> solve(tree, "minmem", engine="reference").peak_memory
+>>> solve(tree, "liu").peak_memory
 49.0
 
 Postorder traversals (what sparse direct solvers use) can be arbitrarily
@@ -70,11 +71,12 @@ Every report can be re-executed by the independent replay oracle of
 >>> replay.peak_memory, replay.steps, replay.complete
 (18.0, 13, True)
 
-The full scenario-sweep campaign lives behind the CLI::
+The full scenario-sweep campaign lives behind the CLI (``repro-treemem``
+after ``pip install -e .``, or ``python -m repro.cli``)::
 
     repro-treemem bench --smoke --json     # run + write BENCH_<timestamp>.json
     repro-treemem bench --compare OLD NEW  # exit 1 on regressions
-    repro-treemem bench --filter large --engine kernel
+    repro-treemem bench --filter large
 """
 
 from repro import compare, list_solvers, solve, solve_many

@@ -1,11 +1,29 @@
-"""Setuptools shim.
+"""Packaging for the ``repro-treemem`` distribution.
 
-The project metadata lives in ``pyproject.toml``.  This file exists so that
-``pip install -e .`` keeps working on offline machines whose setuptools
-predates the bundled ``bdist_wheel`` command (the legacy ``setup.py develop``
-code path does not need the ``wheel`` package).
+``pip install -e .`` installs the ``repro`` package from ``src/`` and the
+``repro-treemem`` console script (an alias of ``python -m repro.cli``).
+The editable install needs the ``wheel`` package; without it, put ``src``
+on ``PYTHONPATH`` instead.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(encoding="utf-8"),
+    re.M,
+).group(1)
+
+setup(
+    name="repro-treemem",
+    version=VERSION,
+    description="Memory-optimal tree traversals for sparse matrix factorization",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy", "scipy", "networkx"],
+    entry_points={"console_scripts": ["repro-treemem = repro.cli:main"]},
+)

@@ -9,17 +9,16 @@ The library is organised in seven layers:
     Task-tree model, traversal checkers, the three MinMemory algorithms
     (``PostOrder``, ``Liu``, ``MinMem``), the MinIO out-of-core scheduler with
     its six eviction heuristics, exhaustive oracles and pebble-game special
-    cases.  Every solver hot path runs on the flat array-backed
-    :class:`TreeKernel` of :mod:`repro.core.kernel` by default
-    (``engine="reference"`` selects the original per-node implementations).
+    cases.  Every solver runs on the flat array-backed :class:`TreeKernel`
+    of :mod:`repro.core.kernel` (one implementation per algorithm; the
+    per-node originals are test oracles under ``tests/oracles``).
 ``repro.sparse``
     The sparse-matrix substrate that produces the assembly trees the paper
     evaluates on: matrix generators, fill-reducing orderings, elimination
     trees, symbolic factorization, supernode amalgamation and a multifrontal
     Cholesky engine.  The symbolic pipeline (etree, column counts, column
-    patterns, amalgamation) follows the same ``engine="kernel"|"reference"``
-    convention as the solvers: vectorized flat-array implementations by
-    default, the per-entry originals as the test oracle.
+    patterns, amalgamation) is vectorized on flat arrays; the per-entry
+    originals are test oracles as well.
 ``repro.generators``
     Synthetic tree families: harpoon graphs (Theorems 1 and 2), random-weight
     trees (Section VI-E), and parametric shapes.
@@ -42,7 +41,7 @@ The library is organised in seven layers:
 ``repro.bench``
     The benchmark subsystem: a decorator-based registry of *scenarios*
     (tree family x sizes x algorithms x memory budgets), an independent
-    schedule-replay engine that re-validates every reported schedule, a
+    schedule replay that re-validates every reported schedule, a
     campaign-planning runner with warmup/repeat timing that fans each
     scenario's full cell grid through the batch engine, and
     schema-versioned ``BENCH_<timestamp>.json`` artifacts with a regression
@@ -81,7 +80,7 @@ Python or via the ``bench`` subcommand::
     repro-treemem bench --filter minmem --json # run + write BENCH_*.json
     repro-treemem bench --compare OLD NEW      # exit 1 on regressions
 
-Every emitted schedule is replay-validated: an independent engine re-executes
+Every emitted schedule is replay-validated: an independent replay re-executes
 it step by step and recomputes peak memory and I/O volume from scratch (see
 :mod:`repro.bench.replay`).
 
@@ -93,8 +92,6 @@ re-exported below; ``solve`` is a thin dispatch layer over them.
 from .core import (
     BOTTOMUP,
     TOPDOWN,
-    ExploreResult,
-    ExploreSolver,
     KernelExploreSolver,
     LiuResult,
     MemoryProfile,
@@ -155,8 +152,6 @@ __all__ = [
     "MemoryProfile",
     "TOPDOWN",
     "BOTTOMUP",
-    "ExploreSolver",
-    "ExploreResult",
     "KernelExploreSolver",
     "LiuResult",
     "MinMemResult",

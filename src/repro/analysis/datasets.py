@@ -4,7 +4,7 @@ The paper uses assembly trees of 291 matrices of the University of Florida
 collection, ordered with MeTiS and AMD and amalgamated with 1, 2, 4 and 16
 relaxed amalgamations per node, plus a randomly reweighted copy of every tree
 (Section VI-E).  Offline, this module builds the substitute campaign described
-in DESIGN.md:
+in docs/ARCHITECTURE.md (section "repro.analysis and the CLI"):
 
 * :func:`matrix_suite` -- a deterministic collection of synthetic SPD
   matrices (regular grids, anisotropic stencils, random patterns, band

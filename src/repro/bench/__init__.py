@@ -12,7 +12,7 @@ first-class, machine-readable pipeline on top of the solver registry:
     assembly, MatrixMarket-derived elimination trees) x sizes x the
     MinMemory and MinIO solvers.
 ``repro.bench.replay``
-    An independent schedule-replay engine that re-executes any
+    An independent schedule replay that re-executes any
     :class:`~repro.solvers.SolveReport` step by step, recomputes peak
     memory and I/O volume from scratch, and raises on infeasible or
     misreported schedules -- the oracle behind both the benchmark runner

@@ -13,13 +13,16 @@ File schema (one JSON document per line):
 * line 1 -- the header::
 
       {"kind": "header", "version": 1, "params": {"seed": ..., "repeat": ...,
-       "warmup": ..., "scenarios": [...], "engine": ..., "validate": ...}}
+       "warmup": ..., "scenarios": [...], "validate": ...}}
 
   ``params`` holds every knob that shapes cell *results*; resuming with a
   different value raises (a journal from another campaign cannot be
-  silently mixed in).  Execution knobs that cannot change results
-  (``workers``, ``pool``) ride in the header as ``context`` for humans
-  but are not validated, so a campaign may resume on different plumbing.
+  silently mixed in).  Keys this build no longer validates (such as the
+  ``engine`` of journals written when solvers had a second implementation)
+  are ignored, so those journals still resume.  Execution knobs that
+  cannot change results (``workers``, ``pool``) ride in the header as
+  ``context`` for humans but are not validated, so a campaign may resume
+  on different plumbing.
 
 * cell lines -- one per completed timed cell::
 
@@ -48,7 +51,7 @@ __all__ = ["CampaignJournal", "JournalError"]
 JOURNAL_VERSION = 1
 
 #: the result-shaping parameters a resumed run must repeat exactly
-_VALIDATED_PARAMS = ("seed", "repeat", "warmup", "scenarios", "engine", "validate")
+_VALIDATED_PARAMS = ("seed", "repeat", "warmup", "scenarios", "validate")
 
 
 class JournalError(ValueError):

@@ -18,20 +18,17 @@ artifacts or papers built on them.
 
 The replay shares no *accounting logic* with :mod:`repro.core.traversal` or
 the MinIO scheduler -- it re-executes every schedule with its own
-bookkeeping, which is what makes it usable as a cross-solver test oracle.
-Two representations are available behind the ``engine`` keyword:
-``"kernel"`` (default) replays on the flat index arrays of
-:mod:`repro.core.kernel`; ``"reference"`` is the original implementation
-written against the raw :class:`Tree` accessors only, and is what the
-kernel-equivalence tests use as the independent oracle.
+bookkeeping on the flat index arrays of :mod:`repro.core.kernel`, which is
+what makes it usable as a cross-solver test oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional
+from typing import Optional
 
+from ..core.kernel import kernel_replay_schedule, kernel_replay_traversal
 from ..core.traversal import BOTTOMUP, TOPDOWN, OutOfCoreSchedule, Traversal
 from ..core.tree import Tree
 from ..solvers.report import SolveReport
@@ -44,8 +41,6 @@ __all__ = [
     "replay_schedule",
     "replay_report",
 ]
-
-NodeId = Hashable
 
 #: relative tolerance for float metric comparisons; solver metrics are sums
 #: of user-scale weights, so honest recomputations agree far below this
@@ -101,7 +96,6 @@ def replay_traversal(
     traversal: Traversal,
     *,
     partial: bool = False,
-    engine: str = "kernel",
 ) -> ReplayResult:
     """Re-execute an in-core traversal and recompute its peak memory.
 
@@ -117,11 +111,6 @@ def replay_traversal(
         Allow a strict prefix of a top-down execution (as produced by a
         budget-limited ``explore`` run).  Partial bottom-up replays are not
         defined and raise :class:`ReplayError`.
-    engine : str
-        ``"kernel"`` (default) replays on the flat index arrays of
-        :mod:`repro.core.kernel`; ``"reference"`` replays against the raw
-        :class:`Tree` accessors (the original oracle).  Both enforce the
-        same constraints and recompute the same metrics.
 
     Returns
     -------
@@ -134,79 +123,21 @@ def replay_traversal(
         On duplicate or unknown nodes, precedence violations, or an
         incomplete order without ``partial``.
     """
-    if engine not in ("kernel", "reference"):
-        raise ReplayError(f"unknown engine {engine!r}; expected 'kernel' or 'reference'")
-    if engine == "kernel":
-        from ..core.kernel import kernel_replay_traversal
-
-        kern = tree.kernel() if isinstance(tree, Tree) else tree
-        try:
-            order_idx = kern.order_to_indices(traversal.order)
-        except KeyError as exc:
-            raise ReplayError(
-                f"node {exc.args[0]!r} is not in the tree"
-            ) from None
-        try:
-            peak, steps, complete = kernel_replay_traversal(
-                kern,
-                order_idx,
-                topdown=traversal.convention == TOPDOWN,
-                partial=partial,
-            )
-        except ValueError as exc:
-            raise ReplayError(str(exc)) from None
-        return ReplayResult(peak_memory=peak, steps=steps, complete=complete)
-
-    if not isinstance(tree, Tree):
-        tree = tree.to_tree()
-    order = tuple(traversal.order)
-    executed: Dict[NodeId, int] = {}
-    for step, node in enumerate(order):
-        if node not in tree:
-            raise ReplayError(f"step {step}: node {node!r} is not in the tree")
-        if node in executed:
-            raise ReplayError(f"step {step}: node {node!r} executed twice")
-        executed[node] = step
-    complete = len(order) == tree.size
-    if not complete and (not partial or traversal.convention != TOPDOWN):
-        raise ReplayError(
-            f"order covers {len(order)} of {tree.size} nodes; "
-            "only top-down replays may be partial"
+    kern = tree.kernel() if isinstance(tree, Tree) else tree
+    try:
+        order_idx = kern.order_to_indices(traversal.order)
+    except KeyError as exc:
+        raise ReplayError(f"node {exc.args[0]!r} is not in the tree") from None
+    try:
+        peak, steps, complete = kernel_replay_traversal(
+            kern,
+            order_idx,
+            topdown=traversal.convention == TOPDOWN,
+            partial=partial,
         )
-
-    if traversal.convention == TOPDOWN:
-        if order and order[0] != tree.root:
-            raise ReplayError("top-down execution must start at the root")
-        resident = tree.f(tree.root) if order else 0.0
-        peak = resident
-        for step, node in enumerate(order):
-            parent = tree.parent(node)
-            if parent is not None and executed.get(parent, step) >= step:
-                raise ReplayError(
-                    f"step {step}: node {node!r} executed before its parent"
-                )
-            children_size = sum(tree.f(c) for c in tree.children(node))
-            peak = max(peak, resident + tree.n(node) + children_size)
-            resident += children_size - tree.f(node)
-        return ReplayResult(
-            peak_memory=peak,
-            steps=len(order),
-            complete=complete,
-        )
-
-    # bottom-up: every child strictly before its parent, full permutation
-    resident = 0.0
-    peak = 0.0
-    for step, node in enumerate(order):
-        for child in tree.children(node):
-            if executed[child] >= step:
-                raise ReplayError(
-                    f"step {step}: node {node!r} executed before child {child!r}"
-                )
-        children_size = sum(tree.f(c) for c in tree.children(node))
-        peak = max(peak, resident + tree.n(node) + tree.f(node))
-        resident += tree.f(node) - children_size
-    return ReplayResult(peak_memory=peak, steps=len(order), complete=True)
+    except ValueError as exc:
+        raise ReplayError(str(exc)) from None
+    return ReplayResult(peak_memory=peak, steps=steps, complete=complete)
 
 
 # ----------------------------------------------------------------------
@@ -217,7 +148,6 @@ def replay_schedule(
     schedule: OutOfCoreSchedule,
     *,
     memory: Optional[float] = None,
-    engine: str = "kernel",
 ) -> ReplayResult:
     """Re-execute an out-of-core schedule, recomputing peak and I/O volume.
 
@@ -238,10 +168,6 @@ def replay_schedule(
     memory : float, optional
         Optional main-memory bound to validate against.  ``None`` replays
         without a bound and only recomputes the metrics.
-    engine : str
-        ``"kernel"`` (default) replays on the flat index arrays of
-        :mod:`repro.core.kernel`; ``"reference"`` replays against the raw
-        :class:`Tree` accessors (the original oracle).
 
     Returns
     -------
@@ -253,114 +179,40 @@ def replay_schedule(
     ReplayError
         On any violated constraint.
     """
-    if engine not in ("kernel", "reference"):
-        raise ReplayError(f"unknown engine {engine!r}; expected 'kernel' or 'reference'")
     traversal = schedule.traversal
     if traversal.convention == BOTTOMUP:
         traversal = traversal.reversed()
 
-    if engine == "kernel":
-        from ..core.kernel import kernel_replay_schedule
-
-        kern = tree.kernel() if isinstance(tree, Tree) else tree
-        try:
-            order_idx = kern.order_to_indices(traversal.order)
-        except KeyError:
-            raise ReplayError(
-                "schedule order is not a permutation of the tree nodes"
-            ) from None
-        index = kern.index
-        evictions_idx = {}
-        for victim, step in schedule.evictions.items():
-            j = index.get(victim)
-            if j is None:
-                raise ReplayError(f"eviction of unknown node {victim!r}")
-            evictions_idx[j] = step
-        try:
-            peak, io_total, n_evictions = kernel_replay_schedule(
-                kern,
-                order_idx,
-                evictions_idx,
-                memory=memory,
-                rel_tol=_REL_TOL,
-                abs_tol=_ABS_TOL,
-            )
-        except ValueError as exc:
-            raise ReplayError(str(exc)) from None
-        return ReplayResult(
-            peak_memory=peak,
-            io_volume=io_total,
-            steps=len(order_idx),
-            evictions=n_evictions,
-            complete=True,
-        )
-
-    if not isinstance(tree, Tree):
-        tree = tree.to_tree()
-    order = tuple(traversal.order)
-    if len(order) != tree.size or set(order) != set(tree.nodes()):
-        raise ReplayError("schedule order is not a permutation of the tree nodes")
-    position = {node: step for step, node in enumerate(order)}
-
-    evict_at: Dict[int, list] = {}
+    kern = tree.kernel() if isinstance(tree, Tree) else tree
+    try:
+        order_idx = kern.order_to_indices(traversal.order)
+    except KeyError:
+        raise ReplayError(
+            "schedule order is not a permutation of the tree nodes"
+        ) from None
+    index = kern.index
+    evictions_idx = {}
     for victim, step in schedule.evictions.items():
-        if victim not in tree:
+        j = index.get(victim)
+        if j is None:
             raise ReplayError(f"eviction of unknown node {victim!r}")
-        if not 0 <= step < len(order):
-            raise ReplayError(f"eviction step {step} of {victim!r} out of range")
-        if position[victim] <= step:
-            raise ReplayError(
-                f"node {victim!r} evicted at step {step} but executes at "
-                f"step {position[victim]}; files must be evicted strictly "
-                "before their owner runs"
-            )
-        evict_at.setdefault(step, []).append(victim)
-
-    resident: Dict[NodeId, float] = {tree.root: tree.f(tree.root)}
-    resident_size = tree.f(tree.root)
-    on_disk = set()
-    peak = resident_size
-    io_total = 0.0
-
-    for step, node in enumerate(order):
-        for victim in evict_at.get(step, ()):  # evictions happen before step
-            if victim not in resident:
-                raise ReplayError(
-                    f"step {step}: evicted file {victim!r} is not resident "
-                    "(not produced yet, or already written out)"
-                )
-            resident_size -= resident.pop(victim)
-            on_disk.add(victim)
-            io_total += tree.f(victim)
-        if node in on_disk:  # read the input file back from secondary memory
-            on_disk.discard(node)
-            resident[node] = tree.f(node)
-            resident_size += tree.f(node)
-        if node not in resident:
-            raise ReplayError(
-                f"step {step}: input file of {node!r} is not resident; "
-                "the parent has not executed"
-            )
-        children_size = sum(tree.f(c) for c in tree.children(node))
-        step_peak = resident_size + tree.n(node) + children_size
-        if memory is not None and step_peak > memory * (1.0 + _REL_TOL) + _ABS_TOL:
-            raise ReplayError(
-                f"step {step}: executing {node!r} needs {step_peak:.6g} "
-                f"but the memory bound is {memory:.6g}"
-            )
-        peak = max(peak, step_peak)
-        resident_size -= resident.pop(node)
-        for child in tree.children(node):
-            resident[child] = tree.f(child)
-            resident_size += tree.f(child)
-
-    if on_disk:
-        raise ReplayError(f"files never read back: {sorted(map(repr, on_disk))}")
+        evictions_idx[j] = step
+    try:
+        peak, io_total, n_evictions = kernel_replay_schedule(
+            kern,
+            order_idx,
+            evictions_idx,
+            memory=memory,
+            rel_tol=_REL_TOL,
+            abs_tol=_ABS_TOL,
+        )
+    except ValueError as exc:
+        raise ReplayError(str(exc)) from None
     return ReplayResult(
         peak_memory=peak,
         io_volume=io_total,
-        steps=len(order),
-        evictions=len(schedule.evictions),
+        steps=len(order_idx),
+        evictions=n_evictions,
         complete=True,
     )
 
@@ -368,9 +220,7 @@ def replay_schedule(
 # ----------------------------------------------------------------------
 # report validation
 # ----------------------------------------------------------------------
-def replay_report(
-    tree: Tree, report: SolveReport, *, engine: str = "kernel"
-) -> ReplayResult:
+def replay_report(tree: Tree, report: SolveReport) -> ReplayResult:
     """Replay a :class:`SolveReport` and validate its claimed metrics.
 
     Out-of-core reports are replayed through :func:`replay_schedule` under
@@ -386,9 +236,6 @@ def replay_report(
         The task tree the report was computed on.
     report : SolveReport
         The solver output to validate.
-    engine : str
-        Replay engine (``"kernel"`` or ``"reference"``), forwarded to
-        :func:`replay_traversal` / :func:`replay_schedule`.
 
     Returns
     -------
@@ -408,7 +255,6 @@ def replay_report(
             tree,
             report.schedule,
             memory=float(memory) if memory is not None else None,
-            engine=engine,
         )
         if not _close(result.io_volume, report.io_volume):
             raise ReplayMismatch(
@@ -417,9 +263,7 @@ def replay_report(
             )
     else:
         partial = not bool(report.extras.get("completed", True))
-        result = replay_traversal(
-            tree, report.traversal, partial=partial, engine=engine
-        )
+        result = replay_traversal(tree, report.traversal, partial=partial)
         if report.io_volume:
             raise ReplayMismatch(
                 f"{report.algorithm}: in-core report claims nonzero I/O volume "

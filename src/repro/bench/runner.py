@@ -180,7 +180,6 @@ def run_scenarios(
     warmup: int = 0,
     workers: Optional[int] = None,
     validate: bool = True,
-    engine: Optional[str] = None,
     pool: Optional[str] = None,
     saturate_factor: float = 2.0,
     straggler_factor: float = 4.0,
@@ -211,11 +210,6 @@ def run_scenarios(
         Replay-validate every report (see :mod:`repro.bench.replay`).
         Validation failures are recorded on the :class:`BenchRecord` rather
         than raised, so one bad solver cannot sink a whole campaign.
-    engine:
-        Execution engine forwarded to every solver: ``"kernel"`` (the
-        array-backed hot paths, the solvers' default) or ``"reference"``
-        (the original per-node implementations).  ``None`` leaves the
-        solvers on their default.
     pool:
         Executor backend for the campaign, any name in
         :data:`~repro.solvers.facade.POOL_MODES` (``None`` = the default
@@ -258,8 +252,6 @@ def run_scenarios(
         raise ValueError("repeat must be >= 1")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
-    if engine not in (None, "kernel", "reference"):
-        raise ValueError(f"unknown engine {engine!r}; expected 'kernel' or 'reference'")
     if pool not in (None, *POOL_MODES):
         raise ValueError(f"unknown pool mode {pool!r}; expected one of {POOL_MODES}")
     if saturate_factor <= 0:
@@ -281,7 +273,6 @@ def run_scenarios(
             "repeat": repeat,
             "warmup": warmup,
             "scenarios": [s.name for s in scenarios],
-            "engine": engine,
             "validate": validate,
         }
         context = {"workers": workers, "pool": pool}
@@ -307,7 +298,6 @@ def run_scenarios(
                     repeat=repeat,
                     warmup=warmup,
                     validate=validate,
-                    engine=engine,
                     dispatcher=dispatcher,
                     journal=journal,
                 )
@@ -626,7 +616,6 @@ def _run_scenario(
     warmup: int,
     validate: bool,
     dispatcher: _CampaignDispatcher,
-    engine: Optional[str] = None,
     journal=None,
 ) -> List[BenchRecord]:
     """Campaign-planned execution: the scenario grid as backend fan-outs.
@@ -646,7 +635,6 @@ def _run_scenario(
     """
     instances = scenario.build(seed)
     trees = [tree for _, tree in instances]
-    engine_options = {} if engine is None else {"engine": engine}
     plain = [a for a in scenario.algorithms if not _is_budgeted(a)]
     budgeted = [a for a in scenario.algorithms if _is_budgeted(a)]
     # the reference solver anchors optimality ratios and budget sweeps; run
@@ -659,9 +647,11 @@ def _run_scenario(
     # ---- stage 1: the plain grid ----------------------------------------
     # the options dict is shared across cells: solvers copy before use, and
     # the pickle memo ships it once per executor chunk
+    no_options: Dict[str, Any] = {}
+
     def _plain_cells(n_rounds: int) -> List[_Cell]:
         return [
-            (trees[i], name, None, engine_options)
+            (trees[i], name, None, no_options)
             for _ in range(n_rounds)
             for i in range(n_trees)
             for name in plain
@@ -702,7 +692,6 @@ def _run_scenario(
         budget_option_of[i] = {
             "traversal": reference.traversal,
             "in_core_peak": reference.peak_memory,
-            **engine_options,
         }
 
     def _budget_cells(n_rounds: int):

@@ -211,10 +211,10 @@ def _etree_instance(name: str, matrix, tmpdir: str) -> Tuple[str, Tree]:
 def _large(seed: int) -> List[Tuple[str, Tree]]:
     """Instances big enough to exercise the array-backed kernel.
 
-    These are the trees where the per-node overhead of the dict-based
-    reference engine dominates; the CI bench job runs this scenario with
-    ``--engine kernel`` (see the repository workflow).  Excluded from the
-    smoke set to keep the PR gate fast.
+    These are the trees where per-node overhead would dominate a dict-based
+    sweep; the CI bench job runs this scenario explicitly (see the
+    repository workflow).  Excluded from the smoke set to keep the PR gate
+    fast.
     """
     return [
         ("chain-100k", chain_tree(100_000, f=2.0, n=1.0)),
@@ -238,12 +238,12 @@ def _sparse_pipeline(seed: int) -> List[Tuple[str, Tree]]:
 
     Every instance runs the full matrix -> assembly-tree pipeline of
     Section VI-B (symmetrize, fill-reducing ordering, elimination tree,
-    column counts, relaxed amalgamation) on the vectorized kernel engine
+    column counts, relaxed amalgamation) on the vectorized symbolic layer
     before the solvers are timed on the resulting weighted tree.  The sweep
-    spans 10k to 250k matrix rows -- two orders of magnitude above what the
-    per-entry reference layer could build in reasonable time -- including a
+    spans 10k to 250k matrix rows -- two orders of magnitude above what a
+    per-entry symbolic layer could build in reasonable time -- including a
     >= 100k-row 2-D grid.  Excluded from the smoke set; the CI bench job
-    runs it explicitly with ``--engine kernel``.
+    runs it explicitly.
     """
     del seed  # deterministic matrices and orderings
     from ..sparse.assembly import build_assembly_tree

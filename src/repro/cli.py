@@ -108,10 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="memory budget forwarded to budgeted solvers (explore, minio)")
     p_solve.add_argument("--heuristic", choices=tuple(HEURISTICS), default=None,
                          help="eviction heuristic for the minio solver")
-    p_solve.add_argument("--engine", choices=("kernel", "reference"), default=None,
-                         help="execution engine: 'kernel' = array-backed hot "
-                              "paths (default), 'reference' = the original "
-                              "per-node implementations")
     p_solve.add_argument("--workers", type=int, default=None,
                          help="worker processes for multi-tree batches (default: serial)")
     p_solve.add_argument("--pool", choices=backend_names(), default=None,
@@ -162,9 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "minimum_degree, nested_dissection; default: rcm)")
     p_pipe.add_argument("--relaxed", type=int, default=1,
                         help="relaxed-amalgamation budget per supernode (default: 1)")
-    p_pipe.add_argument("--engine", choices=("kernel", "reference"), default=None,
-                        help="symbolic + solver engine: 'kernel' = vectorized "
-                             "(default), 'reference' = per-entry oracle")
     p_pipe.add_argument("--algorithm", "-a", action="append", default=None,
                         metavar="NAME",
                         help="solver to run on the assembly tree (repeatable; "
@@ -200,9 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--output", type=Path, default=None, metavar="PATH",
                          help="artifact path (implies --json; default: "
                               "BENCH_<timestamp>.json in the current directory)")
-    p_bench.add_argument("--engine", choices=("kernel", "reference"), default=None,
-                         help="execution engine forwarded to every solver "
-                              "(default: the solvers' own default, 'kernel')")
     p_bench.add_argument("--no-validate", action="store_true",
                          help="skip schedule-replay validation (faster, unchecked)")
     p_bench.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
@@ -260,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                          help="default deadline applied to requests that do "
                               "not carry one (default: none)")
-    p_serve.add_argument("--engine", choices=("kernel", "reference"), default=None,
-                         help="execution engine forwarded to every solve")
     p_serve.add_argument("--breaker-threshold", type=int, default=5, metavar="N",
                          help="consecutive engine infrastructure failures that "
                               "open the circuit breaker (default: 5)")
@@ -345,8 +333,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     options = {}
     if args.heuristic is not None:
         options["heuristic"] = args.heuristic
-    if args.engine is not None:
-        options["engine"] = args.engine
 
     trees = [load_tree(path) for path in args.trees]
     if len(trees) == 1:
@@ -437,7 +423,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     from .sparse.mmio import read_matrix_market
     from .sparse.ordering import ORDERINGS
 
-    engine = args.engine or "kernel"
     if args.ordering not in ORDERINGS:
         print(f"error: unknown ordering {args.ordering!r}; expected one of "
               f"{sorted(ORDERINGS)}", file=sys.stderr)
@@ -459,7 +444,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             matrix,
             ordering=args.ordering,
             relaxed=args.relaxed,
-            engine=engine,
             stage_seconds=stages,
         )
     except ValueError as exc:  # e.g. a rectangular MatrixMarket file
@@ -468,14 +452,13 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     tree, stats = result.tree, result.symbolic
 
     algorithms = args.algorithm or ["postorder", "liu", "minmem"]
-    reports = [solve(tree, name, engine=engine) for name in algorithms]
+    reports = [solve(tree, name) for name in algorithms]
 
     if args.json:
         print(json.dumps({
             "source": source,
             "ordering": args.ordering,
             "relaxed": args.relaxed,
-            "engine": engine,
             "n": stats.n,
             "nnz_a": stats.nnz_a,
             "nnz_l": stats.nnz_l,
@@ -489,8 +472,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
     print(f"matrix                : {source} "
           f"(n={stats.n}, nnz(tril A)={stats.nnz_a})")
-    print(f"ordering / relaxed    : {args.ordering} / {args.relaxed} "
-          f"(engine {engine})")
+    print(f"ordering / relaxed    : {args.ordering} / {args.relaxed}")
     print(f"nnz(L) / fill ratio   : {stats.nnz_l} / {stats.fill_ratio:.2f}")
     print(f"assembly tree         : {tree.size} supernodes")
     for name, seconds in stages.items():
@@ -567,7 +549,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             warmup=args.warmup,
             workers=args.workers,
             validate=not args.no_validate,
-            engine=args.engine,
             pool=args.pool,
             fault_plan=fault_plan,
             checkpoint=args.checkpoint,
@@ -671,7 +652,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import SolverService, run_stdio_server, start_http_server
 
     configure_logging(args.log_level, json_lines=args.log_json)
-    solver_options = {} if args.engine is None else {"engine": args.engine}
     if args.max_pending < 1:
         print("error: --max-pending must be >= 1", file=sys.stderr)
         return 2
@@ -693,7 +673,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_pending=args.max_pending,
             max_inflight=args.max_inflight,
             default_deadline=args.deadline,
-            solver_options=solver_options,
             breaker_threshold=args.breaker_threshold,
             breaker_cooldown=args.breaker_cooldown,
             fault_plan=fault_plan,

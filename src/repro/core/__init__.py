@@ -8,8 +8,7 @@ substrate) and implements every algorithm of the paper:
 * feasibility checkers and the memory simulator
   (:mod:`repro.core.traversal`);
 * the three MinMemory solvers -- ``PostOrder`` (:mod:`repro.core.postorder`),
-  ``Liu`` (:mod:`repro.core.liu`) and ``MinMem``
-  (:mod:`repro.core.minmem` / :mod:`repro.core.explore`);
+  ``Liu`` (:mod:`repro.core.liu`) and ``MinMem`` (:mod:`repro.core.minmem`);
 * the MinIO out-of-core scheduler and its six eviction heuristics
   (:mod:`repro.core.minio`);
 * the array-backed tree kernel the solver hot paths run on
@@ -28,7 +27,6 @@ from .builders import (
     star_tree,
     uniform_weights,
 )
-from .explore import ExploreResult, ExploreSolver
 from .kernel import KernelExploreSolver, TreeKernel
 from .liu import LiuResult, Segment, flatten_nodes, liu_min_memory, liu_optimal_traversal
 from .minmem import MinMemResult, min_mem, min_memory
@@ -101,12 +99,10 @@ __all__ = [
     "liu_optimal_traversal",
     "liu_min_memory",
     "flatten_nodes",
-    # minmem / explore
+    # minmem
     "MinMemResult",
     "min_mem",
     "min_memory",
-    "ExploreSolver",
-    "ExploreResult",
     # serialize
     "save_tree",
     "load_tree",

@@ -22,18 +22,22 @@ array-based versions of every hot path:
 * :func:`kernel_liu` -- Liu's exact hill--valley algorithm with the segment
   merge running on plain float tuples;
 * :class:`KernelExploreSolver` / :func:`kernel_min_mem` -- the paper's
-  Explore/MinMem pair with incrementally-maintained cut sums (the reference
-  implementation recomputes ``sum(f)`` over the cut per candidate, which is
-  quadratic in the cut size);
+  Explore/MinMem pair with incrementally-maintained cut sums (recomputing
+  ``sum(f)`` over the cut per candidate, as a literal transcription does,
+  is quadratic in the cut size);
 * :func:`kernel_replay_traversal` / :func:`kernel_replay_schedule` -- the
-  replay engine's peak-memory/IO recomputation on index arrays;
+  schedule replay's peak-memory/IO recomputation on index arrays;
 * :func:`kernel_out_of_core` -- the MinIO eviction simulator with an
   incrementally-maintained resident size.
 
 Nothing here recurses: every sweep is an explicit loop or an explicit stack,
-so 100k-node chains are as safe as balanced trees.  The reference (per-node,
-dict-based) implementations remain available behind ``engine="reference"``
-on the public entry points and serve as the test oracle.
+so 100k-node chains are as safe as balanced trees.  These are the only
+implementations the library ships: the public entry points
+(:func:`~repro.core.postorder.postorder_with_rule`,
+:func:`~repro.core.liu.liu_optimal_traversal`,
+:func:`~repro.core.minmem.min_mem`, :func:`~repro.core.minio.run_out_of_core`,
+:mod:`repro.bench.replay`) are thin wrappers over them.  The per-node,
+dict-based originals are test oracles under ``tests/oracles``.
 
 A kernel is built once per tree -- :meth:`Tree.kernel()
 <repro.core.tree.Tree.kernel>` caches it and invalidates the cache on
@@ -91,7 +95,7 @@ def flatten_chunks(nested) -> List[int]:
 
 NodeId = Hashable
 
-#: absolute tolerance for memory comparisons (mirrors repro.core.explore)
+#: absolute tolerance for memory comparisons
 _EPS = 1e-9
 
 
@@ -656,8 +660,7 @@ def kernel_liu(
 ) -> Tuple[float, List[int], List[float], List[Tuple[float, float, tuple]]]:
     """Liu's exact MinMemory algorithm on the kernel.
 
-    A faithful port of :func:`repro.core.liu.liu_optimal_traversal`: per
-    subtree the canonical hill--valley representation is kept as plain
+    Liu's per-node algorithm on index arrays: per subtree the canonical hill--valley representation is kept as plain
     ``(hill, valley, nodes)`` tuples, children segments are interleaved in
     decreasing ``hill - valley`` order (stable on ties), and the profile is
     re-cut by one backward plus one forward sweep.
@@ -755,9 +758,8 @@ def _canonical(
 ) -> List[Tuple[float, float, tuple]]:
     """Cut an event profile into its canonical hill--valley representation.
 
-    Same construction as :func:`repro.core.liu._canonical_segments` (one
-    backward sweep for suffix maxima/minima, one forward sweep for the
-    cuts), producing plain tuples instead of ``Segment`` objects.
+    One backward sweep for suffix maxima/minima, one forward sweep for the
+    cuts, producing plain tuples instead of ``Segment`` objects.
     """
     n_events = len(events)
     first_max = [0] * n_events
@@ -937,19 +939,19 @@ def kernel_liu_patch(
 # Explore / MinMem: the paper's Algorithms 3 and 4 on index arrays
 # ----------------------------------------------------------------------
 class KernelExploreSolver:
-    """Array-based counterpart of :class:`repro.core.explore.ExploreSolver`.
+    """Repeated ``Explore`` calls (paper Algorithm 3) on one tree, with state.
 
-    Semantics are identical (including the per-node resume states and the
-    ``reuse_states=False`` literal-pseudocode mode); the differences are
-    mechanical: nodes are indices, per-node state lives in flat lists, and
-    the resident size of the current cut is maintained incrementally instead
-    of being re-summed per candidate.
+    Keeps per-node resume states (the ``L_init`` / ``Tr_init`` mechanism of
+    the paper, generalised to every node) and offers the
+    ``reuse_states=False`` literal-pseudocode mode.  Nodes are indices,
+    per-node state lives in flat lists, and the resident size of the current
+    cut is maintained incrementally instead of being re-summed per
+    candidate.
 
     Parameters
     ----------
     kern : TreeKernel
-        The flat tree (weights are validated once here, mirroring the
-        ``tree.validate()`` call of the reference solver).
+        The flat tree (weights are validated once here).
     reuse_states : bool
         Keep every node's reached exploration state across sweeps (the fast
         mode); ``False`` retains only the entry node's state, exactly as in
@@ -1304,12 +1306,12 @@ def kernel_out_of_core(
 ) -> Tuple[Dict[int, int], float, float]:
     """Out-of-core simulation of a top-down ``order`` (indices) on the kernel.
 
-    Faithful port of :func:`repro.core.minio.scheduler.run_out_of_core`'s
-    hot loop: whenever the next node does not fit, the evictable resident
+    The MinIO simulator behind :func:`repro.core.minio.run_out_of_core`:
+    whenever the next node does not fit, the evictable resident
     files (latest-scheduled-first) are offered to ``selector``; any
     shortfall is topped up in LSNF order.  The resident size is maintained
-    incrementally -- the reference re-sums the resident dict per step, which
-    is quadratic.
+    incrementally -- re-summing the resident set per step would be
+    quadratic.
 
     Parameters
     ----------

@@ -2,8 +2,8 @@
 
 ``MinMem`` solves the MinMemory problem exactly: it computes the minimum
 amount of main memory that allows a fully in-core traversal of the task tree,
-together with such a traversal.  It repeatedly calls
-:class:`~repro.core.explore.ExploreSolver`:
+together with such a traversal.  It repeatedly calls ``Explore`` (paper
+Algorithm 3, :class:`~repro.core.kernel.KernelExploreSolver`):
 
 1. start with the trivial lower bound ``max_i MemReq(i)``;
 2. explore the tree with that much memory, reusing the state reached by the
@@ -20,12 +20,10 @@ assembly trees (Section VI-C of the paper).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Hashable
 
-from .explore import ExploreSolver
-from .liu import flatten_nodes
+from .kernel import TreeKernel, kernel_min_mem
 from .traversal import TOPDOWN, Traversal
 from .tree import Tree
 
@@ -57,16 +55,12 @@ class MinMemResult:
     explore_calls: int
 
 
-def min_memory(
-    tree: Tree, *, reuse_states: bool = True, engine: str = "kernel"
-) -> float:
+def min_memory(tree: Tree, *, reuse_states: bool = True) -> float:
     """Minimum memory over all traversals (value only)."""
-    return min_mem(tree, reuse_states=reuse_states, engine=engine).memory
+    return min_mem(tree, reuse_states=reuse_states).memory
 
 
-def min_mem(
-    tree: Tree, *, reuse_states: bool = True, engine: str = "kernel"
-) -> MinMemResult:
+def min_mem(tree: Tree, *, reuse_states: bool = True) -> MinMemResult:
     """Run the ``MinMem`` algorithm (Algorithm 4 of the paper).
 
     Parameters
@@ -81,66 +75,25 @@ def min_mem(
         only the root's reached state (the ``L_init`` / ``Tr_init`` arguments
         of Algorithm 4) survives between sweeps, exactly as in the paper's
         pseudocode; the result is identical, only slower.
-    engine : str
-        ``"kernel"`` (default) runs the array-backed
-        :func:`repro.core.kernel.kernel_min_mem` (incremental cut sums);
-        ``"reference"`` runs the original per-node implementation (kept as
-        the test oracle).  Both produce identical results.
 
     Returns
     -------
     MinMemResult
         Optimal memory and a witness traversal.
+
+    Notes
+    -----
+    The sweeps run on the flat arrays of
+    :func:`repro.core.kernel.kernel_min_mem` (incremental cut sums).
     """
-    if engine not in ("kernel", "reference"):
-        raise ValueError(f"unknown engine {engine!r}; expected 'kernel' or 'reference'")
-    if engine == "kernel":
-        from .kernel import TreeKernel, kernel_min_mem
-
-        kern = tree if isinstance(tree, TreeKernel) else tree.kernel()
-        memory, order_idx, iterations, explore_calls = kernel_min_mem(
-            kern, reuse_states=reuse_states
-        )
-        return MinMemResult(
-            memory=memory,
-            traversal=Traversal(kern.order_to_ids(order_idx), TOPDOWN),
-            iterations=iterations,
-            explore_calls=explore_calls,
-        )
-
-    if not isinstance(tree, Tree):
-        tree = tree.to_tree()
-    solver = ExploreSolver(tree, reuse_states=reuse_states)
-    root = tree.root
-
-    m_peak = tree.max_mem_req()
-    m_avail = 0.0
-    iterations = 0
-    chunks: tuple = ()
-
-    # Root-level resume (the L_init / Tr_init arguments of Algorithm 4) is
-    # always provided by the solver; with reuse_states=True the states of
-    # every other node are retained across sweeps as well, which only makes
-    # the search faster.
-    while m_peak != math.inf:
-        m_avail = m_peak
-        result = solver.explore(root, m_avail)
-        chunks = result.traversal_chunks
-        m_peak = result.peak
-        iterations += 1
-        if m_peak is not math.inf and m_peak <= m_avail:
-            # Exploration must always report a strictly larger requirement
-            # when it cannot finish; guard against floating-point stalls.
-            raise RuntimeError(
-                "MinMem made no progress (floating-point stall); "
-                f"memory={m_avail}, reported peak={m_peak}"
-            )
-
-    order = flatten_nodes(chunks)
-    traversal = Traversal(tuple(order), TOPDOWN)
-    return MinMemResult(
-        memory=m_avail,
-        traversal=traversal,
-        iterations=iterations,
-        explore_calls=solver.explore_calls,
+    kern = tree if isinstance(tree, TreeKernel) else tree.kernel()
+    memory, order_idx, iterations, explore_calls = kernel_min_mem(
+        kern, reuse_states=reuse_states
     )
+    return MinMemResult(
+        memory=memory,
+        traversal=Traversal(kern.order_to_ids(order_idx), TOPDOWN),
+        iterations=iterations,
+        explore_calls=explore_calls,
+    )
+

@@ -18,8 +18,9 @@ purposes, :func:`postorder_with_rule` which also supports the two naive rules
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, Tuple
 
+from .kernel import TreeKernel, kernel_postorder
 from .traversal import BOTTOMUP, Traversal
 from .tree import Tree
 
@@ -55,18 +56,16 @@ class PostOrderResult:
     child_order: Dict[NodeId, Tuple[NodeId, ...]]
 
 
-def best_postorder(tree: Tree, *, engine: str = "kernel") -> PostOrderResult:
+def best_postorder(tree: Tree) -> PostOrderResult:
     """Compute the memory-optimal postorder traversal (Liu's rule).
 
     Returns a :class:`PostOrderResult`; ``result.memory`` solves the
     MinMemory-PostOrder problem of the paper.
     """
-    return postorder_with_rule(tree, rule="liu", engine=engine)
+    return postorder_with_rule(tree, rule="liu")
 
 
-def postorder_with_rule(
-    tree: Tree, rule: str = "liu", *, engine: str = "kernel"
-) -> PostOrderResult:
+def postorder_with_rule(tree: Tree, rule: str = "liu") -> PostOrderResult:
     """Compute a postorder traversal using a given child-ordering rule.
 
     Parameters
@@ -78,11 +77,6 @@ def postorder_with_rule(
         ``"liu"`` -- children in decreasing ``P_j - f_j`` (optimal among
         postorders); ``"subtree_memory"`` -- children in increasing subtree
         peak; ``"natural"`` -- children in insertion order.
-    engine : str
-        ``"kernel"`` (default) runs the array-backed sweep of
-        :func:`repro.core.kernel.kernel_postorder`; ``"reference"`` runs the
-        original per-node implementation (kept as the test oracle).  Both
-        produce identical results.
 
     Returns
     -------
@@ -100,77 +94,21 @@ def postorder_with_rule(
                    sum_j f_j + n_i + f_i )
 
     and Liu's rule minimises the first term over all child permutations.
+    The sweep runs on the flat arrays of
+    :func:`repro.core.kernel.kernel_postorder`.
     """
     if rule not in POSTORDER_RULES:
         raise ValueError(f"unknown postorder rule {rule!r}; expected one of {POSTORDER_RULES}")
-    if engine not in ("kernel", "reference"):
-        raise ValueError(f"unknown engine {engine!r}; expected 'kernel' or 'reference'")
-
-    if engine == "kernel":
-        from .kernel import TreeKernel, kernel_postorder
-
-        kern = tree if isinstance(tree, TreeKernel) else tree.kernel()
-        memory, order_idx, peaks, child_orders = kernel_postorder(kern, rule)
-        ids = kern.ids
-        return PostOrderResult(
-            memory=memory,
-            traversal=Traversal(kern.order_to_ids(order_idx), BOTTOMUP),
-            subtree_peak={ids[i]: peaks[i] for i in range(kern.size)},
-            child_order={
-                ids[i]: tuple(ids[c] for c in child_orders[i])
-                for i in range(kern.size)
-            },
-        )
-
-    if not isinstance(tree, Tree):
-        tree = tree.to_tree()
-    peak: Dict[NodeId, float] = {}
-    child_order: Dict[NodeId, Tuple[NodeId, ...]] = {}
-
-    for node in tree.bottom_up_order():
-        children = tree.children(node)
-        if not children:
-            peak[node] = tree.f(node) + tree.n(node)
-            child_order[node] = ()
-            continue
-        if rule == "liu":
-            ordered = sorted(children, key=lambda c: peak[c] - tree.f(c), reverse=True)
-        elif rule == "subtree_memory":
-            ordered = sorted(children, key=lambda c: peak[c])
-        else:  # natural
-            ordered = list(children)
-        child_order[node] = tuple(ordered)
-
-        completed = 0.0
-        best = 0.0
-        for child in ordered:
-            best = max(best, completed + peak[child])
-            completed += tree.f(child)
-        best = max(best, completed + tree.n(node) + tree.f(node))
-        peak[node] = best
-
-    order = _postorder_sequence(tree, child_order)
-    traversal = Traversal(tuple(order), BOTTOMUP)
+    kern = tree if isinstance(tree, TreeKernel) else tree.kernel()
+    memory, order_idx, peaks, child_orders = kernel_postorder(kern, rule)
+    ids = kern.ids
     return PostOrderResult(
-        memory=peak[tree.root],
-        traversal=traversal,
-        subtree_peak=peak,
-        child_order=child_order,
+        memory=memory,
+        traversal=Traversal(kern.order_to_ids(order_idx), BOTTOMUP),
+        subtree_peak={ids[i]: peaks[i] for i in range(kern.size)},
+        child_order={
+            ids[i]: tuple(ids[c] for c in child_orders[i])
+            for i in range(kern.size)
+        },
     )
 
-
-def _postorder_sequence(
-    tree: Tree, child_order: Dict[NodeId, Tuple[NodeId, ...]]
-) -> List[NodeId]:
-    """Bottom-up DFS sequence following ``child_order`` (iterative)."""
-    order: List[NodeId] = []
-    stack: List[Tuple[NodeId, bool]] = [(tree.root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        stack.append((node, True))
-        for child in reversed(child_order[node]):
-            stack.append((child, False))
-    return order

@@ -203,8 +203,6 @@ class SolverService:
     default_deadline:
         Deadline (seconds) applied to requests that do not carry one;
         ``None`` = no implicit deadline.
-    solver_options:
-        Options merged under every request's own (e.g. ``engine="kernel"``).
     interner_capacity:
         LRU size of the tree interner.
     breaker_threshold / breaker_cooldown:
@@ -229,7 +227,6 @@ class SolverService:
         max_pending: int = 128,
         max_inflight: Optional[int] = None,
         default_deadline: Optional[float] = None,
-        solver_options: Optional[Dict[str, Any]] = None,
         interner_capacity: int = 512,
         use_shared_memory: Optional[bool] = None,
         breaker_threshold: int = 5,
@@ -258,7 +255,6 @@ class SolverService:
             raise ValueError("max_inflight must be >= 1")
         self.max_inflight = max_inflight
         self.default_deadline = default_deadline
-        self.solver_options = dict(solver_options or {})
         self.interner = TreeInterner(capacity=interner_capacity)
         self.stats = ServiceStats()
         self.breaker = breaker if breaker is not None else CircuitBreaker(
@@ -560,7 +556,7 @@ class SolverService:
                 request.tree,
                 request.algorithm,
                 request.memory,
-                {**self.solver_options, **request.options},
+                request.options,
             )
             try:
                 report, tier = await self._run_cell(cell, pending)

@@ -11,7 +11,7 @@ Request::
       "algorithm": "minmem",           # any registered solver (default minmem)
       "memory": 12.5,                  # optional budget (budgeted solvers)
       "deadline": 0.5,                 # optional seconds, from acceptance
-      "options": {"engine": "kernel"}, # solver options (lenient dispatch)
+      "options": {"reuse_states": true}, # solver options (lenient dispatch)
       "report": "full"                 # "full" | "summary" | "none"
     }
 

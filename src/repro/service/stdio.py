@@ -101,14 +101,21 @@ async def run_stdio_server(service: SolverService) -> Dict[str, Any]:
     """Wire :func:`serve_stdio` to the real stdin/stdout of the process.
 
     Reading happens on the default thread executor so a quiet stdin never
-    blocks the event loop (and the daemon keeps solving while waiting).
+    blocks the event loop (and the daemon keeps solving while waiting).  The
+    reader owns a private duplicate of stdin's file descriptor, split into
+    lines exactly as ``sys.stdin`` is, rather than ``sys.stdin`` itself: a
+    process pool that forks while the reader blocks would otherwise copy
+    ``sys.stdin``'s held lock, and every forked worker would deadlock when
+    multiprocessing's bootstrap closes ``sys.stdin``.
     """
+    import os
     import sys
 
     loop = asyncio.get_running_loop()
+    stdin = open(os.dup(sys.stdin.fileno()), encoding="utf-8", newline="\n")
 
     def _read_blocking() -> Optional[str]:
-        line = sys.stdin.readline()
+        line = stdin.readline()
         return line if line else None
 
     async def read_line() -> Optional[str]:

@@ -12,7 +12,11 @@ These three functions are the intended entry points of the library:
   the platform cannot run it, e.g. in sandboxes; results are bit-identical
   to the serial path because every registered solver is deterministic;
 * :func:`compare` runs several algorithms on the same tree and returns them
-  ranked (peak memory first, then I/O volume, then wall time).
+  ranked (peak memory first, then I/O volume; ties keep the requested
+  order).
+
+Every built-in solver has exactly one implementation, the array kernel of
+:mod:`repro.core.kernel`; "engine" here always means the batch executor.
 """
 
 from __future__ import annotations
@@ -136,8 +140,7 @@ def solve(
         :mod:`repro.solvers.incremental`.
     options
         Solver-specific keyword options (e.g. ``rule=`` for ``postorder``,
-        ``heuristic=`` for ``minio``, ``reuse_states=`` for ``minmem``,
-        ``engine="kernel"|"reference"`` for every built-in solver).
+        ``heuristic=`` for ``minio``, ``reuse_states=`` for ``minmem``).
         Options the solver does not declare raise :class:`TypeError`, so a
         typo cannot silently fall back to a default.
 

@@ -133,8 +133,7 @@ def solve_incremental(
         report (or its ``extras["incremental_token"]``) resumes from that
         solve when its kernel is exactly the base of the current one.
     options
-        ``rule=`` (for ``postorder``) and ``engine="kernel"`` only; the
-        incremental path exists for the kernel engine.
+        ``rule=`` (for ``postorder``) only.
 
     Returns
     -------
@@ -156,12 +155,6 @@ def solve_incremental(
     rule = INCREMENTAL_ALGORITHMS[name]
     if name == "postorder":
         rule = opts.pop("rule", rule)
-    engine = opts.pop("engine", "kernel")
-    if engine != "kernel":
-        raise TypeError(
-            f"reuse= requires engine='kernel' (got engine={engine!r}); "
-            "the reference engine keeps no per-node solve state"
-        )
     if opts:
         raise TypeError(
             f"solver {name!r} got unexpected option(s) {sorted(opts)} "
@@ -205,7 +198,7 @@ def solve_incremental(
 
     token = _remember(_SolveState(kernel=kern, key=key, payload=payload))
     peak, order_idx = payload[0], payload[1]
-    extras: Dict[str, Any] = {"engine": "kernel"}
+    extras: Dict[str, Any] = {}
     if rule is None:
         extras["segments"] = len(payload[3][0])  # root's canonical segments
     else:

@@ -210,7 +210,7 @@ def route(features: Dict[str, float]) -> Tuple[str, str]:
     raise AssertionError("ROUTING_TABLE must end with a catch-all rule")
 
 
-def _race(tree, kern: TreeKernel, engine: str) -> List[SolveReport]:
+def _race(tree, kern: TreeKernel) -> List[SolveReport]:
     """One report per :data:`RACE_CANDIDATES`, racing via the persistent
     engine in the main process and sequentially inside worker processes
     (nesting pools inside an engine worker would deadlock the arena)."""
@@ -218,16 +218,10 @@ def _race(tree, kern: TreeKernel, engine: str) -> List[SolveReport]:
 
     if multiprocessing.parent_process() is None:
         (by_name,) = solve_many(
-            [kern],
-            RACE_CANDIDATES,
-            workers=len(RACE_CANDIDATES),
-            engine=engine,
+            [kern], RACE_CANDIDATES, workers=len(RACE_CANDIDATES)
         )
         return [by_name[name] for name in RACE_CANDIDATES]
-    return [
-        _dispatch(tree, name, None, {"engine": engine}, strict=False)
-        for name in RACE_CANDIDATES
-    ]
+    return [_dispatch(tree, name, None, {}, strict=False) for name in RACE_CANDIDATES]
 
 
 @register_solver(
@@ -239,7 +233,6 @@ def _race(tree, kern: TreeKernel, engine: str) -> List[SolveReport]:
 def _solve_auto(
     tree: Tree,
     *,
-    engine: str = "kernel",
     race_threshold: Optional[float] = None,
     **_ignored: Any,
 ) -> SolveReport:
@@ -249,7 +242,7 @@ def _solve_auto(
     threshold = RACE_NODE_THRESHOLD if race_threshold is None else race_threshold
 
     if kern.size >= threshold:
-        reports = _race(tree, kern, engine)
+        reports = _race(tree, kern)
         # deterministic winner: quality, then candidate order -- never time
         winner = min(
             range(len(reports)),
@@ -265,7 +258,7 @@ def _solve_auto(
         from .facade import _dispatch
 
         rule, chosen = route(features)
-        inner = _dispatch(tree, chosen, None, {"engine": engine}, strict=False)
+        inner = _dispatch(tree, chosen, None, {}, strict=False)
         info = {"algorithm": inner.algorithm, "mode": "route", "rule": rule}
 
     info["features"] = features

@@ -23,11 +23,10 @@ contribution block sent to its parent).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .etree import _check_engine, etree_children
 
 __all__ = ["Supernode", "AmalgamatedTree", "amalgamate"]
 
@@ -98,34 +97,6 @@ class AmalgamatedTree:
         return out
 
 
-def _reference_perfect_leaders(
-    parent: np.ndarray, counts: np.ndarray, perfect: bool
-) -> np.ndarray:
-    """Topmost column of every perfect-amalgamation chain (union-find oracle)."""
-    n = parent.size
-    children = etree_children(parent)
-
-    # union-find over columns; the set representative is the topmost column
-    leader = np.arange(n, dtype=np.int64)
-
-    def find(v: int) -> int:
-        root = v
-        while leader[root] != root:
-            root = leader[root]
-        while leader[v] != root:
-            leader[v], v = root, int(leader[v])
-        return int(root)
-
-    if perfect:
-        for v in range(n):
-            p = int(parent[v])
-            if p < 0:
-                continue
-            if len(children[p]) == 1 and counts[p] == counts[v] - 1:
-                leader[find(v)] = find(p)
-    return np.asarray([find(v) for v in range(n)], dtype=np.int64)
-
-
 def _kernel_perfect_leaders(
     parent: np.ndarray, counts: np.ndarray, perfect: bool
 ) -> np.ndarray:
@@ -162,7 +133,6 @@ def amalgamate(
     *,
     relaxed: int = 1,
     perfect: bool = True,
-    engine: str = "kernel",
 ) -> AmalgamatedTree:
     """Amalgamate an elimination tree into an assembly tree.
 
@@ -177,29 +147,30 @@ def amalgamate(
         supernode; ``0`` disables relaxed amalgamation.
     perfect:
         Whether to perform perfect amalgamation first (the paper always
-        does).
-    engine:
-        ``"kernel"`` (default) resolves the perfect-amalgamation chains with
-        vectorized pointer doubling; ``"reference"`` is the original
-        per-column union-find.  Both produce identical supernodes (the
-        relaxed phase is shared and order-independent).
+        does).  Its chains are resolved by vectorized pointer doubling.
 
     Returns
     -------
     AmalgamatedTree
         Supernodes with paper-compatible weights and the quotient tree.
     """
-    _check_engine(engine)
     parent = np.asarray(parent, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
-    n = parent.size
-    if counts.size != n:
+    if counts.size != parent.size:
         raise ValueError("parent and counts must have the same length")
-    if engine == "reference":
-        leader = _reference_perfect_leaders(parent, counts, perfect)
-    else:
-        leader = _kernel_perfect_leaders(parent, counts, perfect)
+    leader = _kernel_perfect_leaders(parent, counts, perfect)
+    return _amalgamate_leaders(parent, counts, leader, relaxed)
 
+
+def _amalgamate_leaders(
+    parent: np.ndarray, counts: np.ndarray, leader: np.ndarray, relaxed: int
+) -> AmalgamatedTree:
+    """Supernodes from the perfect-amalgamation ``leader`` of every column.
+
+    Builds the quotient tree, runs the relaxed phase on it and materialises
+    the weighted supernodes.
+    """
+    n = parent.size
     # ------------------------------------------------------------------
     # build the quotient (perfectly amalgamated) tree
     # ------------------------------------------------------------------

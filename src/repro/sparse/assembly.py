@@ -75,7 +75,6 @@ def build_assembly_tree(
     ordering: Union[str, Sequence[int]] = "nested_dissection",
     relaxed: int = 1,
     perfect: bool = True,
-    engine: str = "kernel",
     stage_seconds: Optional[Dict[str, float]] = None,
 ) -> AssemblyTreeResult:
     """Build a weighted assembly tree from a sparse symmetric matrix.
@@ -93,10 +92,6 @@ def build_assembly_tree(
         and 16).
     perfect:
         Whether perfect amalgamation is applied first (default True).
-    engine:
-        ``"kernel"`` (default) runs the vectorized symbolic pipeline
-        (etree, column counts, amalgamation); ``"reference"`` the original
-        per-entry implementations.  Identical results either way.
     stage_seconds:
         Optional dict the pipeline fills with per-stage wall times (keys
         ``symmetrize``, ``ordering``, ``permute``, ``etree``, ``counts``,
@@ -129,22 +124,14 @@ def build_assembly_tree(
 
     # `permuted` is the symmetrized pattern under a symmetric permutation, so
     # every downstream stage can skip its own re-symmetrization pass
-    parent = staged(
-        "etree",
-        lambda: elimination_tree(permuted, symmetrize=False, engine=engine),
-    )
+    parent = staged("etree", lambda: elimination_tree(permuted, symmetrize=False))
     counts = staged(
-        "counts",
-        lambda: column_counts(permuted, parent, engine=engine, symmetrize=False),
+        "counts", lambda: column_counts(permuted, parent, symmetrize=False)
     )
-    stats = symbolic_stats(
-        permuted, parent, counts=counts, engine=engine, symmetrize=False
-    )
+    stats = symbolic_stats(permuted, parent, counts=counts, symmetrize=False)
     amalgamated = staged(
         "amalgamate",
-        lambda: amalgamate(
-            parent, counts, relaxed=relaxed, perfect=perfect, engine=engine
-        ),
+        lambda: amalgamate(parent, counts, relaxed=relaxed, perfect=perfect),
     )
     tree = staged("tree", lambda: assembly_tree_from_etree(amalgamated))
     return AssemblyTreeResult(

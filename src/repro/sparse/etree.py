@@ -11,21 +11,14 @@ implements Liu's nearly-linear-time construction with path compression, plus
 helpers to postorder the tree and to export it as a
 :class:`repro.core.tree.Tree`.
 
-Two engines are provided, mirroring the ``engine="kernel"|"reference"``
-convention of :mod:`repro.core.kernel`:
-
-* ``"kernel"`` (default) bulk-extracts the strictly-lower structure with
-  vectorized numpy (no Python pass over the matrix) and then runs the
-  path-compressed ancestor climb as plain-int pointer chasing on flat
-  lists -- about 7x the reference at 100k columns.  A fully batched
-  variant that climbs whole per-column frontiers as numpy arrays was
-  measured and rejected: path compression keeps the frontiers so short
-  that per-column numpy call overhead costs more than it saves.
-* ``"reference"`` is the original per-entry loop over numpy scalars, kept
-  verbatim as the test oracle.
-
-Both engines return bit-identical parent arrays (the elimination tree of a
-matrix is unique).
+The construction bulk-extracts the strictly-lower structure with
+vectorized numpy (no Python pass over the matrix) and then runs the
+path-compressed ancestor climb as plain-int pointer chasing on flat lists --
+about 7x the per-entry loop over numpy scalars at 100k columns (that loop is
+kept as the test oracle under ``tests/oracles``).  A fully batched variant
+that climbs whole per-column frontiers as numpy arrays was measured and
+rejected: path compression keeps the frontiers so short that per-column
+numpy call overhead costs more than it saves.
 
 The module also hosts the flat-array tree machinery shared with
 :mod:`repro.sparse.symbolic`: children in CSR form, an iterative postorder,
@@ -51,14 +44,6 @@ __all__ = [
     "etree_levels",
     "etree_to_task_tree",
 ]
-
-_ENGINES = ("kernel", "reference")
-
-
-def _check_engine(engine: str) -> None:
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected 'kernel' or 'reference'")
-
 
 # ----------------------------------------------------------------------
 # flat-array tree machinery (shared with repro.sparse.symbolic)
@@ -221,9 +206,7 @@ def _first_descendants(parent: np.ndarray, post: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # elimination tree construction
 # ----------------------------------------------------------------------
-def elimination_tree(
-    matrix: sp.spmatrix, *, symmetrize: bool = True, engine: str = "kernel"
-) -> np.ndarray:
+def elimination_tree(matrix: sp.spmatrix, *, symmetrize: bool = True) -> np.ndarray:
     """Parent array of the elimination tree of ``matrix``.
 
     Parameters
@@ -233,11 +216,6 @@ def elimination_tree(
     symmetrize:
         When True (default) the pattern ``|A| + |A|ᵀ + I`` is used, as in the
         paper; set to False if the matrix is already structurally symmetric.
-    engine:
-        ``"kernel"`` (default) bulk-extracts the lower structure with numpy
-        and climbs with plain-int path compression on flat lists;
-        ``"reference"`` is the original per-entry loop over numpy scalars.
-        Both produce identical parent arrays.
 
     Returns
     -------
@@ -253,34 +231,8 @@ def elimination_tree(
     last vertex without a parent is attached to ``j``.  The running time is
     ``O(nnz * alpha(n))``.
     """
-    _check_engine(engine)
     pattern = symmetrized_pattern(matrix) if symmetrize else sp.csr_matrix(matrix)
-    if engine == "reference":
-        return _reference_elimination_tree(pattern)
     return _kernel_elimination_tree(pattern)
-
-
-def _reference_elimination_tree(pattern: sp.csr_matrix) -> np.ndarray:
-    """Per-nonzero Liu construction (the test oracle)."""
-    n = pattern.shape[0]
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
-    indptr, indices = pattern.indptr, pattern.indices
-
-    for j in range(n):
-        for k in indices[indptr[j] : indptr[j + 1]]:
-            if k >= j:
-                continue
-            # climb from k to the current root of its subtree
-            v = int(k)
-            while ancestor[v] != -1 and ancestor[v] != j:
-                nxt = int(ancestor[v])
-                ancestor[v] = j  # path compression
-                v = nxt
-            if ancestor[v] == -1:
-                ancestor[v] = j
-                parent[v] = j
-    return parent
 
 
 def _kernel_elimination_tree(pattern: sp.csr_matrix) -> np.ndarray:
@@ -290,9 +242,8 @@ def _kernel_elimination_tree(pattern: sp.csr_matrix) -> np.ndarray:
     The strictly-lower entries are sliced out of the CSR arrays in one
     vectorized pass, then converted to Python lists once; the ancestor climb
     itself touches only plain machine integers, avoiding the numpy-scalar
-    boxing that dominates the reference loop.  The visited set per column --
-    and therefore the resulting parent array -- is identical to the
-    reference's.
+    boxing that dominates a per-entry loop.  The visited set per column --
+    and therefore the resulting parent array -- is identical to that loop's.
     """
     n = pattern.shape[0]
     # strictly-lower CSR: the below-diagonal entries of every row

@@ -11,27 +11,23 @@ module computes
 * :func:`symbolic_stats` -- aggregate statistics (``nnz(L)``, factorization
   flops) used by the experiment drivers.
 
-Both entry points follow the ``engine="kernel"|"reference"`` convention of
-:mod:`repro.core.kernel`; the reference implementations are the original
-per-entry loops, kept verbatim as the test oracle.
-
-The reference ``column_counts`` uses the row-subtree algorithm: row ``i`` of
-``L`` is the set of columns encountered when climbing the elimination tree
-from every ``k`` with ``a_ik != 0, k < i`` up to ``i``; marking visited
-vertices per row makes the total work ``O(nnz(L))``.  The kernel engine is
-the Gilbert--Ng--Peyton formulation of the same quantity: row subtrees are
-never walked -- each one is summarised by its entries sorted in postorder,
-whose consecutive lowest common ancestors delimit the overlaps between the
-climbed paths (the non-skeleton entries cancel out of the telescoped sum).
+Row ``i`` of ``L`` is the set of columns encountered when climbing the
+elimination tree from every ``k`` with ``a_ik != 0, k < i`` up to ``i`` (the
+row-subtree algorithm; its per-entry climb is kept as the test oracle under
+``tests/oracles``).  :func:`column_counts` is the Gilbert--Ng--Peyton
+formulation of the same quantity: row subtrees are never walked -- each one
+is summarised by its entries sorted in postorder, whose consecutive lowest
+common ancestors delimit the overlaps between the climbed paths (the
+non-skeleton entries cancel out of the telescoped sum).
 The per-path increments become ±1 deltas on path endpoints, accumulated for
 all rows at once and resolved by one prefix sum over the postordered tree,
 so the total Python work is a handful of numpy calls regardless of
 ``nnz(L)``.
 
-The reference ``column_patterns`` merges Python sets bottom-up; the kernel
-engine allocates the CSC structure of ``L`` up front (sizes are exactly the
-column counts) and fills it with sorted-array merges -- each child pattern
-is consumed by exactly one parent, so the merged volume is ``O(nnz(L))``.
+:func:`column_patterns` allocates the CSC structure of ``L`` up front
+(sizes are exactly the column counts) and fills it with sorted-array merges
+-- each child pattern is consumed by exactly one parent, so the merged
+volume is ``O(nnz(L))``.
 """
 
 from __future__ import annotations
@@ -44,16 +40,13 @@ import scipy.sparse as sp
 
 from .etree import (
     _ancestor_table,
-    _check_engine,
     _children_csr,
     _first_descendants,
     _lca_batch,
     _lower_coo,
     _postorder_flat,
     elimination_tree,
-    etree_children,
     etree_levels,
-    etree_postorder,
 )
 from .graph import symmetrized_pattern
 
@@ -64,7 +57,6 @@ def column_counts(
     matrix: sp.spmatrix,
     parent: Optional[Sequence[int]] = None,
     *,
-    engine: str = "kernel",
     symmetrize: bool = True,
 ) -> np.ndarray:
     """Nonzero count of every column of ``L`` (diagonal included).
@@ -75,50 +67,16 @@ def column_counts(
         Square sparse matrix (pattern only is used, symmetrized internally).
     parent:
         Optional precomputed elimination-tree parent array.
-    engine:
-        ``"kernel"`` (default) is the vectorized Gilbert--Ng--Peyton
-        row-subtree algorithm; ``"reference"`` the original per-entry climb.
-        Both return identical counts.
     symmetrize:
         Set to False only when ``matrix`` already is a symmetrized pattern
         (structurally symmetric with a full diagonal, as produced by
         :func:`~repro.sparse.graph.symmetrized_pattern`): skips the
         ``O(nnz)`` re-symmetrization passes on the pipeline hot path.
     """
-    _check_engine(engine)
     pattern = symmetrized_pattern(matrix) if symmetrize else sp.csr_matrix(matrix)
     if parent is None:
-        parent = elimination_tree(pattern, symmetrize=False, engine=engine)
-    parent = np.asarray(parent, dtype=np.int64)
-    if engine == "reference":
-        return _reference_column_counts(pattern, parent)
-    return _kernel_column_counts(pattern, parent)
-
-
-def _reference_column_counts(
-    pattern: sp.csr_matrix, parent: np.ndarray
-) -> np.ndarray:
-    """Per-entry row-subtree climb (the test oracle)."""
-    n = pattern.shape[0]
-    counts = np.ones(n, dtype=np.int64)  # the diagonal entries
-    marker = np.full(n, -1, dtype=np.int64)
-    indptr, indices = pattern.indptr, pattern.indices
-
-    for i in range(n):
-        marker[i] = i
-        for k in indices[indptr[i] : indptr[i + 1]]:
-            k = int(k)
-            if k >= i:
-                continue
-            # climb the row subtree of i
-            j = k
-            while marker[j] != i:
-                counts[j] += 1
-                marker[j] = i
-                j = int(parent[j])
-                if j < 0:
-                    break
-    return counts
+        parent = elimination_tree(pattern, symmetrize=False)
+    return _kernel_column_counts(pattern, np.asarray(parent, dtype=np.int64))
 
 
 def _kernel_column_counts(pattern: sp.csr_matrix, parent: np.ndarray) -> np.ndarray:
@@ -170,7 +128,6 @@ def column_patterns(
     matrix: sp.spmatrix,
     parent: Optional[Sequence[int]] = None,
     *,
-    engine: str = "kernel",
     symmetrize: bool = True,
 ) -> List[np.ndarray]:
     """Row pattern (strictly below the diagonal) of every column of ``L``.
@@ -180,40 +137,15 @@ def column_patterns(
     children, minus the children themselves -- computed bottom-up.  The
     output of column ``j`` is a sorted ``numpy`` array of row indices ``> j``.
 
-    With ``engine="kernel"`` (default) the CSC structure of ``L`` is
-    allocated up front from the column counts and filled with sorted-array
-    merges (each returned pattern is a view into one shared buffer);
-    ``engine="reference"`` is the original Python set merging.  Both return
-    identical patterns.  ``symmetrize=False`` declares that ``matrix``
+    The CSC structure of ``L`` is allocated up front from the column counts
+    and filled with sorted-array merges (each returned pattern is a view into
+    one shared buffer).  ``symmetrize=False`` declares that ``matrix``
     already is a symmetrized pattern (see :func:`column_counts`).
     """
-    _check_engine(engine)
     pattern = symmetrized_pattern(matrix) if symmetrize else sp.csr_matrix(matrix)
     if parent is None:
-        parent = elimination_tree(pattern, symmetrize=False, engine=engine)
-    parent = np.asarray(parent, dtype=np.int64)
-    if engine == "reference":
-        return _reference_column_patterns(pattern, parent)
-    return _kernel_column_patterns(pattern, parent)
-
-
-def _reference_column_patterns(
-    pattern: sp.csr_matrix, parent: np.ndarray
-) -> List[np.ndarray]:
-    """Bottom-up Python set merging (the test oracle)."""
-    n = pattern.shape[0]
-    children = etree_children(parent)
-    csc = sp.csc_matrix(pattern)
-    patterns: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
-
-    for j in etree_postorder(parent):
-        j = int(j)
-        rows = csc.indices[csc.indptr[j] : csc.indptr[j + 1]]
-        below = set(int(r) for r in rows if r > j)
-        for child in children[j]:
-            below.update(int(r) for r in patterns[child] if r > j)
-        patterns[j] = np.asarray(sorted(below), dtype=np.int64)
-    return patterns
+        parent = elimination_tree(pattern, symmetrize=False)
+    return _kernel_column_patterns(pattern, np.asarray(parent, dtype=np.int64))
 
 
 def _kernel_column_patterns(
@@ -274,7 +206,6 @@ def symbolic_stats(
     parent: Optional[Sequence[int]] = None,
     *,
     counts: Optional[np.ndarray] = None,
-    engine: str = "kernel",
     symmetrize: bool = True,
 ) -> SymbolicStats:
     """Size, fill and flop statistics of the Cholesky factorization.
@@ -287,7 +218,7 @@ def symbolic_stats(
     pattern = symmetrized_pattern(matrix) if symmetrize else sp.csr_matrix(matrix)
     n = pattern.shape[0]
     if counts is None:
-        counts = column_counts(pattern, parent, engine=engine)
+        counts = column_counts(pattern, parent)
     nnz_lower_a = int((pattern.nnz + n) // 2)
     flops = float(np.sum(counts.astype(np.float64) ** 2))
     return SymbolicStats(

@@ -169,8 +169,8 @@ def test_unsupported_algorithms_raise():
         assert algorithm not in INCREMENTAL_ALGORITHMS
         with pytest.raises(TypeError):
             solve(tree, algorithm, reuse=True)
-    with pytest.raises(TypeError):
-        solve(tree, "liu", reuse=True, engine="reference")
+    with pytest.raises(TypeError, match="engine"):
+        solve(tree, "liu", reuse=True, engine="kernel")
 
 
 def test_pickled_tree_resumes_with_full_resolve():

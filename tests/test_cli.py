@@ -4,9 +4,14 @@ import json
 
 import pytest
 
+from oracles import liu as liu_oracle
+from oracles import minmem as minmem_oracle
+from oracles import postorder as postorder_oracle
+from oracles import sparse as sparse_oracle
 from repro.cli import build_parser, main
 from repro.core.serialize import save_tree
 from repro.generators.harpoon import harpoon_tree
+from repro.sparse.matrices import grid_laplacian_2d
 
 
 @pytest.fixture
@@ -86,16 +91,30 @@ class TestPipelineCommand:
         assert "minmem" in out
 
     def test_json_output_both_engines_agree(self, capsys):
-        docs = []
-        for engine in ("kernel", "reference"):
-            assert main(["pipeline", "--grid2d", "9", "--engine", engine,
-                         "--json"]) == 0
-            docs.append(json.loads(capsys.readouterr().out))
-        kernel, reference = docs
-        assert kernel["nnz_l"] == reference["nnz_l"]
-        assert kernel["supernodes"] == reference["supernodes"]
-        peaks = lambda doc: [r["peak_memory"] for r in doc["reports"]]  # noqa: E731
-        assert peaks(kernel) == peaks(reference)
+        """The pipeline's JSON agrees with the per-entry and per-node
+        reference oracles run stage for stage on the same matrix."""
+        assert main(["pipeline", "--grid2d", "9", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        reference = sparse_oracle.build_assembly_tree(
+            grid_laplacian_2d(9), ordering="rcm", relaxed=1
+        )
+        assert doc["nnz_l"] == reference.symbolic.nnz_l
+        assert doc["supernodes"] == reference.tree.size
+        assert [r["peak_memory"] for r in doc["reports"]] == [
+            postorder_oracle.postorder_with_rule(reference.tree).memory,
+            liu_oracle.liu_optimal_traversal(reference.tree).memory,
+            minmem_oracle.min_mem(reference.tree).memory,
+        ]
+
+    def test_engine_flags_are_gone(self):
+        for argv in (
+            ["solve", "x.json", "--engine", "kernel"],
+            ["pipeline", "--grid2d", "3", "--engine", "kernel"],
+            ["bench", "--smoke", "--engine", "kernel"],
+            ["serve", "--stdio", "--engine", "kernel"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_mtx_source_and_algorithm_selection(self, tmp_path, capsys):
         from repro.sparse.matrices import grid_laplacian_2d
@@ -140,17 +159,19 @@ class TestServeCommand:
         assert main(["serve", "--stdio", "--max-pending", "0"]) == 2
         assert "max-pending" in capsys.readouterr().err
 
-    def test_stdio_serves_ndjson_requests(self, monkeypatch, capsys):
-        import io
-
+    def test_stdio_serves_ndjson_requests(self, monkeypatch, capsys, tmp_path):
         lines = "\n".join([
             json.dumps({"id": "a",
                         "tree": {"parents": [-1, 0, 0], "f": [0, 2, 3]},
                         "algorithm": "minmem"}),
             json.dumps({"op": "stats"}),
         ]) + "\n"
-        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
-        assert main(["serve", "--stdio", "--pool", "serial"]) == 0
+        # a real file: the daemon reads a duplicate of stdin's descriptor
+        requests = tmp_path / "requests.ndjson"
+        requests.write_text(lines)
+        with open(requests) as stdin:
+            monkeypatch.setattr("sys.stdin", stdin)
+            assert main(["serve", "--stdio", "--pool", "serial"]) == 0
         captured = capsys.readouterr()
         docs = [json.loads(line) for line in captured.out.strip().splitlines()]
         by_kind = {("stats" if "op" in d else d.get("id")): d for d in docs}

@@ -6,8 +6,8 @@ import pytest
 
 from repro.core.bruteforce import optimal_min_memory
 from repro.core.builders import chain_tree, from_parent_list, star_tree
-from repro.core.explore import ExploreSolver
-from repro.core.liu import flatten_nodes, liu_min_memory
+from repro.core.kernel import KernelExploreSolver, flatten_chunks
+from repro.core.liu import liu_min_memory
 from repro.core.minmem import min_mem, min_memory
 from repro.core.postorder import best_postorder
 from repro.core.traversal import TOPDOWN, check_in_core, is_topological, peak_memory
@@ -16,24 +16,29 @@ from repro.generators.harpoon import harpoon_tree, iterated_harpoon_tree
 from _helpers import make_random_tree
 
 
+def explore(tree, memory, **kw):
+    """One Explore call from the root: ``(resident, cut ids, order, peak)``."""
+    kern = tree.kernel()
+    solver = KernelExploreSolver(kern, **kw)
+    resident, cut, chunks, peak, _ = solver.explore(0, memory)
+    order = kern.order_to_ids(flatten_chunks(chunks))
+    return resident, [kern.ids[j] for j in cut], order, peak
+
+
 class TestExplore:
     def test_blocked_root(self):
         t = star_tree(3, root_f=1.0, leaf_f=2.0)
-        solver = ExploreSolver(t)
-        res = solver.explore(t.root, 3.0)  # MemReq(root) = 7 > 3
-        assert res.resident == math.inf
-        assert res.peak == pytest.approx(7.0)
-        assert res.cut == ()
+        resident, cut, _, peak = explore(t, 3.0)  # MemReq(root) = 7 > 3
+        assert resident == math.inf
+        assert peak == pytest.approx(7.0)
+        assert cut == []
 
     def test_full_exploration(self):
         t = star_tree(3, root_f=1.0, leaf_f=2.0)
-        solver = ExploreSolver(t)
-        res = solver.explore(t.root, 10.0)
-        assert res.resident == 0.0
-        assert res.peak == math.inf
-        assert sorted(flatten_nodes(res.traversal_chunks), key=str) == sorted(
-            t.nodes(), key=str
-        )
+        resident, _, order, peak = explore(t, 10.0)
+        assert resident == 0.0
+        assert peak == math.inf
+        assert sorted(order, key=str) == sorted(t.nodes(), key=str)
 
     def test_partial_exploration_reports_cut(self):
         # root f=0 with two chains; one chain needs little memory, the other a lot
@@ -42,28 +47,27 @@ class TestExplore:
             f=[0.0, 1.0, 1.0, 1.0, 8.0],
             n=[0.0, 0.0, 0.0, 0.0, 0.0],
         )
-        solver = ExploreSolver(t)
-        res = solver.explore(t.root, 3.0)
+        resident, cut, _, peak = explore(t, 3.0)
         # node 4 (needs 8+1=9 > available) blocks its branch
-        assert 4 in res.cut or 2 in res.cut
-        assert res.peak > 3.0
-        assert res.resident >= 0.0
+        assert 4 in cut or 2 in cut
+        assert peak > 3.0
+        assert resident >= 0.0
 
     def test_peak_estimate_lets_progress(self):
         t = star_tree(2, root_f=0.0, leaf_f=4.0)
-        solver = ExploreSolver(t)
-        res = solver.explore(t.root, 8.0)
-        assert res.peak == math.inf  # fully explored: 8 = MemReq(root) suffices
+        _, _, _, peak = explore(t, 8.0)
+        assert peak == math.inf  # fully explored: 8 = MemReq(root) suffices
 
     def test_resume_states_consistent(self):
         t = make_random_tree(30, __import__("random").Random(3))
-        fresh = ExploreSolver(t, reuse_states=False)
-        cached = ExploreSolver(t, reuse_states=True)
+        kern = t.kernel()
+        fresh = KernelExploreSolver(kern, reuse_states=False)
+        cached = KernelExploreSolver(kern, reuse_states=True)
         for m in (t.max_mem_req(), t.max_mem_req() * 1.5, t.max_mem_req() * 3):
-            a = fresh.explore(t.root, m)
-            b = cached.explore(t.root, m)
-            assert a.resident == pytest.approx(b.resident)
-            assert (a.peak == b.peak == math.inf) or a.peak == pytest.approx(b.peak)
+            a_resident, _, _, a_peak, _ = fresh.explore(0, m)
+            b_resident, _, _, b_peak, _ = cached.explore(0, m)
+            assert a_resident == pytest.approx(b_resident)
+            assert (a_peak == b_peak == math.inf) or a_peak == pytest.approx(b_peak)
 
 
 class TestMinMem:

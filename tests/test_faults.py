@@ -11,6 +11,7 @@ Three tiers, mirroring the package:
   bit-identical to the fault-free run, counters matching the injected plan.
 """
 
+import json
 import pickle
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -432,6 +433,25 @@ class TestCheckpointResume:
         assert [_stable(r) for r in resumed.records] == [
             _stable(r) for r in full.records
         ]
+
+    def test_resume_accepts_journals_with_an_engine_param(self, tmp_path):
+        # journals written while bench had --engine carry params.engine
+        # (null unless the flag was given); they must still resume
+        journal = tmp_path / "campaign.jsonl"
+        full = run_scenarios(self.SCENARIOS, seed=0, repeat=1,
+                             checkpoint=journal)
+        header, *cells = journal.read_text().splitlines()
+        assert "engine" not in json.loads(header)["params"]
+        for engine in (None, "kernel"):
+            old = json.loads(header)
+            old["params"]["engine"] = engine
+            journal.write_text("\n".join([json.dumps(old)] + cells[:10]) + "\n")
+            resumed = run_scenarios(self.SCENARIOS, seed=0, repeat=1,
+                                    resume=journal)
+            assert resumed.extras["resumed_cells"] == 10
+            assert [_stable(r) for r in resumed.records] == [
+                _stable(r) for r in full.records
+            ]
 
     def test_resume_refuses_mismatched_params(self, tmp_path):
         journal = tmp_path / "campaign.jsonl"

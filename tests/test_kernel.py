@@ -4,10 +4,11 @@ Three layers of coverage:
 
 * representation: ``TreeKernel`` construction, caching on :class:`Tree`,
   round-trips, and the bulk :meth:`Tree.from_parents` builder;
-* equivalence: every registered solver run with ``engine="kernel"`` and
-  ``engine="reference"`` on random and adversarial trees must agree on peak
-  memory, I/O volume and the traversal itself, and both engines' schedules
-  must validate under both replay engines;
+* equivalence: every registered solver must agree with the per-node
+  reference oracles of ``tests/oracles`` on random and adversarial trees --
+  peak memory, I/O volume, the traversal itself and the eviction schedule --
+  and every report must replay identically under the library's replay and
+  the oracle replay;
 * scale regression: a 100k-node chain and a ~100k-node iterated harpoon
   solve with every registered algorithm under the default interpreter
   recursion limit (the hot paths are explicit-stack iterative).
@@ -23,13 +24,19 @@ import sys
 import pytest
 
 from _helpers import make_random_tree
-from repro.bench.replay import ReplayError, replay_report
+from oracles import liu as liu_oracle
+from oracles import minio as minio_oracle
+from oracles import minmem as minmem_oracle
+from oracles import postorder as postorder_oracle
+from oracles import replay as replay_oracle
+from oracles.explore import ExploreSolver
+from repro.bench.replay import replay_report
 from repro.core.builders import chain_tree, star_tree
-from repro.core.explore import ExploreSolver
 from repro.core.kernel import KernelExploreSolver, TreeKernel
-from repro.core.liu import liu_optimal_traversal
+from repro.core.liu import flatten_nodes, liu_optimal_traversal
 from repro.core.minmem import min_mem
 from repro.core.postorder import postorder_with_rule
+from repro.core.traversal import TOPDOWN, Traversal
 from repro.core.tree import Tree, TreeValidationError
 from repro.generators.harpoon import iterated_harpoon_tree
 from repro.generators.random_trees import (
@@ -38,7 +45,7 @@ from repro.generators.random_trees import (
     random_caterpillar,
     random_recent_attachment_tree,
 )
-from repro.solvers import list_solvers, solve
+from repro.solvers import get_solver, list_solvers, solve, solve_many
 
 
 def sample_trees():
@@ -156,23 +163,75 @@ class TestFromParents:
 
 
 # ----------------------------------------------------------------------
-# kernel vs reference equivalence
+# kernel vs reference-oracle equivalence
 # ----------------------------------------------------------------------
+def oracle_report(tree, report):
+    """``(peak, io_volume, traversal, evictions)`` the oracles produce for
+    the solve behind ``report`` (an ``auto`` report: for the solver it
+    routed to)."""
+    spec = get_solver(report.extras.get("portfolio", {}).get("algorithm", report.algorithm))
+    if spec.family == "postorder":
+        result = postorder_oracle.postorder_with_rule(tree, report.extras["rule"])
+        return result.memory, 0.0, result.traversal, None
+    if spec.name == "liu":
+        result = liu_oracle.liu_optimal_traversal(tree)
+        return result.memory, 0.0, result.traversal, None
+    if spec.name == "minmem":
+        result = minmem_oracle.min_mem(tree)
+        return result.memory, 0.0, result.traversal, None
+    if spec.name == "explore":
+        result = ExploreSolver(tree).explore(tree.root, report.extras["memory_limit"])
+        order = tuple(flatten_nodes(result.traversal_chunks))
+        return result.required, 0.0, Traversal(order, TOPDOWN), None
+    assert spec.family == "minio", spec.name
+    # the base traversal comes from the MinMem oracle, as the solver's
+    # default base algorithm is minmem
+    base = minmem_oracle.min_mem(tree)
+    result = minio_oracle.run_out_of_core(
+        tree, report.extras["memory_limit"], base.traversal, report.extras["heuristic"]
+    )
+    assert report.extras["in_core_peak"] == pytest.approx(base.memory)
+    return (
+        result.peak_resident,
+        result.io_volume,
+        result.schedule.traversal,
+        result.schedule.evictions,
+    )
+
+
+def assert_replays_agree(tree, report):
+    """The library replay validates ``report`` and the oracle replay
+    recomputes the same metrics."""
+    kernel = replay_report(tree, report)
+    if report.schedule is not None:
+        oracle = replay_oracle.replay_schedule(
+            tree, report.schedule, memory=report.extras.get("memory_limit")
+        )
+    else:
+        partial = not report.extras.get("completed", True)
+        oracle = replay_oracle.replay_traversal(tree, report.traversal, partial=partial)
+    assert oracle.peak_memory == pytest.approx(kernel.peak_memory)
+    assert oracle.io_volume == pytest.approx(kernel.io_volume)
+    assert (oracle.steps, oracle.evictions, oracle.complete) == (
+        kernel.steps,
+        kernel.evictions,
+        kernel.complete,
+    )
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize("algorithm", sorted(set(list_solvers())))
     def test_identical_reports_and_valid_replays(self, algorithm):
         for tree in sample_trees():
-            kernel = solve(tree, algorithm, engine="kernel")
-            reference = solve(tree, algorithm, engine="reference")
-            assert kernel.peak_memory == pytest.approx(reference.peak_memory)
-            assert kernel.io_volume == pytest.approx(reference.io_volume)
-            assert kernel.traversal.order == reference.traversal.order
-            assert kernel.traversal.convention == reference.traversal.convention
+            kernel = solve(tree, algorithm)
+            peak, io, traversal, evictions = oracle_report(tree, kernel)
+            assert kernel.peak_memory == pytest.approx(peak)
+            assert kernel.io_volume == pytest.approx(io)
+            assert kernel.traversal.order == traversal.order
+            assert kernel.traversal.convention == traversal.convention
             if kernel.schedule is not None:
-                assert kernel.schedule.evictions == reference.schedule.evictions
-            # both engines' outputs validate under both replay engines
-            replay_report(tree, kernel, engine="reference")
-            replay_report(tree, reference, engine="kernel")
+                assert kernel.schedule.evictions == evictions
+            assert_replays_agree(tree, kernel)
 
     def test_solver_entry_points_accept_kernels(self):
         tree = random_attachment_tree(60, seed=5)
@@ -188,17 +247,26 @@ class TestEngineEquivalence:
     def test_result_shapes_match_reference(self):
         tree = random_attachment_tree(60, seed=6)
         for rule in ("liu", "natural", "subtree_memory"):
-            kernel = postorder_with_rule(tree, rule=rule, engine="kernel")
-            reference = postorder_with_rule(tree, rule=rule, engine="reference")
+            kernel = postorder_with_rule(tree, rule=rule)
+            reference = postorder_oracle.postorder_with_rule(tree, rule=rule)
             assert kernel.subtree_peak == pytest.approx(reference.subtree_peak)
             assert kernel.child_order == reference.child_order
-        kernel = liu_optimal_traversal(tree, engine="kernel")
-        reference = liu_optimal_traversal(tree, engine="reference")
+        kernel = liu_optimal_traversal(tree)
+        reference = liu_oracle.liu_optimal_traversal(tree)
         assert kernel.subtree_peak == pytest.approx(reference.subtree_peak)
         assert len(kernel.segments) == len(reference.segments)
         for seg_k, seg_r in zip(kernel.segments, reference.segments):
             assert seg_k.hill == pytest.approx(seg_r.hill)
             assert seg_k.valley == pytest.approx(seg_r.valley)
+        for reuse_states in (True, False):
+            kernel = min_mem(tree, reuse_states=reuse_states)
+            reference = minmem_oracle.min_mem(tree, reuse_states=reuse_states)
+            assert kernel.memory == pytest.approx(reference.memory)
+            assert kernel.traversal == reference.traversal
+            assert (kernel.iterations, kernel.explore_calls) == (
+                reference.iterations,
+                reference.explore_calls,
+            )
 
     def test_explore_solver_parity_under_memory_pressure(self):
         rng = random.Random(99)
@@ -217,18 +285,37 @@ class TestEngineEquivalence:
                 assert required == pytest.approx(ref.required)
                 assert [kern.ids[j] for j in cut] == list(ref.cut)
 
-    def test_unknown_engine_rejected(self):
+
+class TestEngineOption:
+    """``engine=`` no longer selects an implementation: there is one."""
+
+    def test_solve_rejects_engine_option(self):
         tree = chain_tree(3)
-        with pytest.raises(ValueError):
-            liu_optimal_traversal(tree, engine="bogus")
-        with pytest.raises(ValueError):
-            min_mem(tree, engine="bogus")
-        with pytest.raises(ValueError):
-            postorder_with_rule(tree, engine="bogus")
-        with pytest.raises(ValueError):
-            solve(tree, "minio", engine="bogus")
-        with pytest.raises(ReplayError):
-            replay_report(tree, solve(tree, "liu"), engine="bogus")
+        for algorithm in ("liu", "minmem", "postorder", "minio", "explore", "auto"):
+            with pytest.raises(TypeError, match="engine"):
+                solve(tree, algorithm, engine="kernel")
+        with pytest.raises(TypeError, match="engine"):
+            solve(tree, "liu", reuse=True, engine="kernel")
+
+    def test_solve_many_drops_engine_option(self):
+        tree = random_attachment_tree(40, seed=2)
+        (with_option,) = solve_many([tree], ("liu", "minio"), engine="kernel")
+        (plain,) = solve_many([tree], ("liu", "minio"))
+        for name in ("liu", "minio"):
+            assert with_option[name].peak_memory == plain[name].peak_memory
+            assert with_option[name].traversal == plain[name].traversal
+            assert "engine" not in with_option[name].extras
+
+    def test_library_entry_points_take_no_engine(self):
+        tree = chain_tree(3)
+        for call in (
+            lambda: liu_optimal_traversal(tree, engine="kernel"),
+            lambda: min_mem(tree, engine="kernel"),
+            lambda: postorder_with_rule(tree, engine="kernel"),
+            lambda: replay_report(tree, solve(tree, "liu"), engine="kernel"),
+        ):
+            with pytest.raises(TypeError):
+                call()
 
 
 # ----------------------------------------------------------------------

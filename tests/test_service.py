@@ -415,6 +415,60 @@ class TestStdioFrontEnd:
         assert snapshot["completed"] == 2
         assert snapshot["bad_requests"] == 1
 
+    def test_stale_engine_option_is_dropped(self):
+        # clients written when solvers had a second implementation still
+        # send options={"engine": "kernel"}; lenient dispatch drops it
+        out, _ = self._drive([
+            json.dumps({"id": "a", "tree": PARENTS, "algorithm": "liu",
+                        "options": {"engine": "kernel"}}),
+        ])
+        (doc,) = out
+        assert doc["status"] == "ok"
+        from repro.core.tree import Tree
+
+        direct = solve(
+            Tree.from_parents(PARENTS["parents"], f=PARENTS["f"], n=PARENTS["n"]),
+            "liu",
+        )
+        assert doc["report"]["peak_memory"] == direct.peak_memory
+
+    def test_default_backend_answers_a_lone_first_request(self):
+        """`serve --stdio --workers 2` (no --pool: the persistent process
+        pool) must answer a first request that arrives alone; the pool forks
+        while the stdin reader is blocked, which used to deadlock every
+        worker on the inherited stdin lock."""
+        import os
+        import select
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--stdio",
+             "--workers", "2", "--log-level", "error"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, env=env, start_new_session=True,
+        )
+        try:
+            request = {"id": "first", "tree": PARENTS, "algorithm": "minmem"}
+            proc.stdin.write((json.dumps(request) + "\n").encode())
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 10.0)
+            assert ready, "daemon did not answer within 10 s"
+            doc = json.loads(proc.stdout.readline())
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert doc["id"] == "first" and doc["status"] == "ok"
+
     def test_shutdown_op_stops_reading(self):
         out, snapshot = self._drive([
             json.dumps({"id": "a", "tree": PARENTS}),

@@ -133,7 +133,7 @@ class TestSolveReports:
         assert natural.algorithm == "postorder_natural"
         assert via_opt.peak_memory == natural.peak_memory
         assert via_opt.traversal == natural.traversal
-        assert via_opt.extras == natural.extras == {"rule": "natural", "engine": "kernel"}
+        assert via_opt.extras == natural.extras == {"rule": "natural"}
 
     def test_cross_solver_agreement_on_random_trees(self):
         rng = random.Random(1107)

@@ -1,10 +1,11 @@
 """Kernel-vs-reference equivalence of the vectorized sparse symbolic layer.
 
-The ``engine="kernel"`` implementations of :func:`elimination_tree`,
-:func:`column_counts`, :func:`column_patterns` and :func:`amalgamate` must be
-bit-identical to the per-entry reference oracles on every matrix: random
-SPD patterns (property-based via hypothesis), regular grids, and the
-deterministic paper-suite matrices of :func:`repro.analysis.datasets.matrix_suite`.
+The vectorized :func:`elimination_tree`, :func:`column_counts`,
+:func:`column_patterns` and :func:`amalgamate` must be bit-identical to the
+per-entry reference oracles of ``tests/oracles/sparse.py`` on every matrix:
+random SPD patterns (property-based via hypothesis), regular grids, and the
+deterministic paper-suite matrices of
+:func:`repro.analysis.datasets.matrix_suite`.
 The counts/patterns cross-validation ``counts[j] == len(patterns[j]) + 1``
 closes the loop between the two independent algorithms.
 """
@@ -16,6 +17,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from oracles import sparse as oracle
 from repro.analysis.datasets import matrix_suite
 from repro.sparse.amalgamation import amalgamate
 from repro.sparse.assembly import build_assembly_tree
@@ -32,16 +34,16 @@ from repro.sparse.symbolic import column_counts, column_patterns, symbolic_stats
 
 def _assert_engines_agree(matrix, relaxed=(0, 1, 4)):
     """All four symbolic stages must match the reference bit for bit."""
-    parent_k = elimination_tree(matrix, engine="kernel")
-    parent_r = elimination_tree(matrix, engine="reference")
+    parent_k = elimination_tree(matrix)
+    parent_r = oracle.elimination_tree(matrix)
     assert np.array_equal(parent_k, parent_r)
 
-    counts_k = column_counts(matrix, parent_k, engine="kernel")
-    counts_r = column_counts(matrix, parent_r, engine="reference")
+    counts_k = column_counts(matrix, parent_k)
+    counts_r = oracle.column_counts(matrix, parent_r)
     assert np.array_equal(counts_k, counts_r)
 
-    patterns_k = column_patterns(matrix, parent_k, engine="kernel")
-    patterns_r = column_patterns(matrix, parent_r, engine="reference")
+    patterns_k = column_patterns(matrix, parent_k)
+    patterns_r = oracle.column_patterns(matrix, parent_r)
     assert len(patterns_k) == len(patterns_r)
     for col_k, col_r in zip(patterns_k, patterns_r):
         assert col_k.dtype == col_r.dtype == np.int64
@@ -52,8 +54,8 @@ def _assert_engines_agree(matrix, relaxed=(0, 1, 4)):
         assert counts_k[j] == len(patterns_k[j]) + 1
 
     for budget in relaxed:
-        am_k = amalgamate(parent_k, counts_k, relaxed=budget, engine="kernel")
-        am_r = amalgamate(parent_r, counts_r, relaxed=budget, engine="reference")
+        am_k = amalgamate(parent_k, counts_k, relaxed=budget)
+        am_r = oracle.amalgamate(parent_r, counts_r, relaxed=budget)
         assert am_k.supernodes == am_r.supernodes
         assert np.array_equal(am_k.parent, am_r.parent)
         assert np.array_equal(am_k.column_to_supernode, am_r.column_to_supernode)
@@ -108,20 +110,9 @@ class TestEngineEquivalenceSuites:
 
     def test_counts_match_stats_both_engines(self):
         matrix = grid_laplacian_2d(8)
-        stats_k = symbolic_stats(matrix, engine="kernel")
-        stats_r = symbolic_stats(matrix, engine="reference")
+        stats_k = symbolic_stats(matrix)
+        stats_r = symbolic_stats(matrix, counts=oracle.column_counts(matrix))
         assert stats_k == stats_r
-
-    def test_unknown_engine_rejected(self):
-        matrix = grid_laplacian_2d(3)
-        with pytest.raises(ValueError, match="engine"):
-            elimination_tree(matrix, engine="numpy")
-        with pytest.raises(ValueError, match="engine"):
-            column_counts(matrix, engine="")
-        with pytest.raises(ValueError, match="engine"):
-            column_patterns(matrix, engine="Kernel")
-        with pytest.raises(ValueError, match="engine"):
-            amalgamate([-1], [1], engine="fast")
 
 
 class TestEtreeLevels:
@@ -188,10 +179,8 @@ class TestPipelineEngines:
     def test_build_assembly_tree_engines_identical(self):
         matrix = grid_laplacian_2d(12)
         for ordering in ("natural", "rcm"):
-            res_k = build_assembly_tree(matrix, ordering=ordering, relaxed=2,
-                                        engine="kernel")
-            res_r = build_assembly_tree(matrix, ordering=ordering, relaxed=2,
-                                        engine="reference")
+            res_k = build_assembly_tree(matrix, ordering=ordering, relaxed=2)
+            res_r = oracle.build_assembly_tree(matrix, ordering=ordering, relaxed=2)
             assert res_k.tree == res_r.tree
             assert np.array_equal(res_k.etree_parent, res_r.etree_parent)
             assert np.array_equal(res_k.counts, res_r.counts)
