@@ -54,7 +54,8 @@ def from_parent_list(
     Returns
     -------
     Tree
-        A tree over the nodes ``0 .. len(parents) - 1``.
+        A tree over the nodes ``0 .. len(parents) - 1``, inserted in BFS
+        order, with its kernel built and its weights validated.
     """
     p = len(parents)
     fvals = [0.0] * p if f is None else [float(x) for x in f]
@@ -67,14 +68,13 @@ def from_parent_list(
     if len(roots) != 1:
         raise TreeValidationError(f"expected exactly one root, found {len(roots)}")
 
-    tree = Tree()
-    # Insert in an order where parents precede children.
     children: Dict[int, list] = {i: [] for i in range(p)}
     for i, par in enumerate(norm):
         if par is not None:
             if not (0 <= par < p):
                 raise TreeValidationError(f"parent index {par} out of range")
             children[par].append(i)
+    # BFS order: parents precede children, siblings keep index order
     order = [roots[0]]
     idx = 0
     while idx < len(order):
@@ -82,9 +82,20 @@ def from_parent_list(
         idx += 1
     if len(order) != p:
         raise TreeValidationError("parent array contains a cycle")
-    for node in order:
-        tree.add_node(node, parent=norm[node], f=fvals[node], n=nvals[node])
-    tree.validate()
+    position = [0] * p
+    for i, node in enumerate(order):
+        position[node] = i
+    tree = Tree.from_parents(
+        [-1 if norm[v] is None else position[norm[v]] for v in order],
+        [fvals[v] for v in order],
+        [nvals[v] for v in order],
+        ids=order,
+        build_kernel=True,
+    )
+    try:
+        tree.kernel().validate_weights()
+    except ValueError as exc:
+        raise TreeValidationError(str(exc)) from None
     return tree
 
 

@@ -150,6 +150,9 @@ class TreeKernel:
         # recompute only the root-path-affected nodes
         "_base",
         "_dirty",
+        # True once validate_weights() passed: the solvers sharing a kernel
+        # (minmem, then each minio_* solve) skip the O(p) re-check
+        "_validated",
         # weak-referenceable so the engine arena (repro.solvers.engine) can
         # key its shared-memory exports by kernel and release the segment
         # when the kernel is garbage collected
@@ -233,6 +236,7 @@ class TreeKernel:
         self.mem_req = [fvals[i] + nvals[i] + cfs[i] for i in range(p)]
         self._base = None
         self._dirty = None
+        self._validated = False
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -372,6 +376,7 @@ class TreeKernel:
         kern.mem_req = (f + n + cfs).tolist()
         kern._base = None
         kern._dirty = None
+        kern._validated = False
         return kern
 
     # ------------------------------------------------------------------
@@ -489,8 +494,11 @@ class TreeKernel:
 
         Raises ``ValueError`` on non-finite weights, negative file sizes or
         negative memory requirements.  The structural invariants (single
-        root, acyclicity, connectivity) hold by construction.
+        root, acyclicity, connectivity) hold by construction.  A kernel
+        that passed once is not checked again.
         """
+        if self._validated:
+            return
         for i in range(self.size):
             fv, nv, mr = self.f[i], self.n[i], self.mem_req[i]
             if fv != fv or abs(fv) == math.inf:
@@ -503,6 +511,7 @@ class TreeKernel:
                 raise ValueError(
                     f"negative memory requirement for node {self.ids[i]!r}"
                 )
+        self._validated = True
 
     def order_to_ids(self, order: Sequence[int]) -> Tuple[NodeId, ...]:
         """Map a sequence of node indices back to original identifiers."""
@@ -948,10 +957,20 @@ class KernelExploreSolver:
     cut is maintained incrementally instead of being re-summed per
     candidate.
 
+    :meth:`explore` runs the recursion of Algorithm 3 as one loop: the
+    running frame lives in local variables, descending into a child pushes
+    them as a tuple, and returning pops them and applies the merge.  Leaf
+    children run inline without a frame (each still counts as one
+    ``Explore`` call).  A pass over the cut that merges nothing ends the
+    frame: in exact arithmetic such a pass leaves no candidate for the
+    next one, so the rule only changes inputs whose sums drift in floating
+    point, which then stop with MinMem's no-progress ``RuntimeError``
+    instead of looping forever.
+
     Parameters
     ----------
     kern : TreeKernel
-        The flat tree (weights are validated once here).
+        The flat tree (its weights are validated once per kernel).
     reuse_states : bool
         Keep every node's reached exploration state across sweeps (the fast
         mode); ``False`` retains only the entry node's state, exactly as in
@@ -964,8 +983,8 @@ class KernelExploreSolver:
         self.reuse_states = reuse_states
         self._peak_of = list(kern.mem_req)
         p = kern.size
-        self._state_cut: List[Optional[List[int]]] = [None] * p
-        self._state_chunks: List[Optional[list]] = [None] * p
+        self._state_cut: List[Optional[Sequence[int]]] = [None] * p
+        self._state_chunks: List[Optional[tuple]] = [None] * p
         self._state_required = [0.0] * p
         self.explore_calls = 0
         self.nodes_visited = 0
@@ -980,9 +999,9 @@ class KernelExploreSolver:
         Returns
         -------
         (resident, cut, chunks, peak, required)
-            ``M_i``, the frontier (list of indices), the nested traversal
-            chunks, ``M_peak_i``, and the peak memory actually used by the
-            returned partial traversal.
+            ``M_i``, the frontier (tuple of indices), the nested traversal
+            chunks (flatten with :func:`flatten_chunks`), ``M_peak_i``, and
+            the peak memory actually used by the returned partial traversal.
         """
         if not self.reuse_states:
             kept = self._state_cut[node]
@@ -996,87 +1015,121 @@ class KernelExploreSolver:
             self._state_chunks[node] = kept_chunks
             self._state_required[node] = kept_required
             self._peak_of = list(self.kern.mem_req)
-        stack = [self._explore_gen(node, m_avail)]
-        result = None
-        while stack:
-            gen = stack[-1]
-            try:
-                request = gen.send(result)
-            except StopIteration as stop:
-                result = stop.value
-                stack.pop()
-                continue
-            child, child_avail = request
-            stack.append(self._explore_gen(child, child_avail))
-            result = None
-        assert result is not None
-        return result
-
-    def _explore_gen(self, node: int, m_avail: float):
-        # Algorithm 3 as a generator yielding (child, avail) requests; the
-        # driving trampoline in explore() keeps the stack explicit, so deep
-        # chains never touch the interpreter recursion limit.
         kern = self.kern
         f = kern.f
+        mem_req = kern.mem_req
+        child_ptr = kern.child_ptr
+        child_idx = kern.child_idx
         peak_of = self._peak_of
-        self.explore_calls += 1
-        mem_req = kern.mem_req[node]
-
-        state_cut = self._state_cut[node]
-        required = self._state_required[node]
-        resumable = state_cut is not None and required <= m_avail + _EPS
-
-        if resumable:
-            cut = list(state_cut)
-            chunks = list(self._state_chunks[node])
-        else:
-            if mem_req > m_avail + _EPS:
-                # the node itself cannot be executed (paper lines 3-5)
-                return (math.inf, (), (), mem_req, 0.0)
-            # execute the node itself (paper lines 10-11)
-            cut = kern.children(node)
-            chunks = [node]
-            required = mem_req
-            self.nodes_visited += 1
-
-        total = 0.0
-        for j in cut:
-            total += f[j]
-        while cut:
-            headroom = m_avail - total
-            candidates = [j for j in cut if headroom + f[j] >= peak_of[j] - _EPS]
-            if not candidates:
-                break
-            for j in candidates:
-                rest = total - f[j]
-                sub = yield (j, m_avail - rest)
-                sub_resident, sub_cut, sub_chunks, sub_peak, sub_required = sub
-                peak_of[j] = sub_peak
-                if sub_resident <= f[j] + _EPS:
+        state_cut = self._state_cut
+        state_chunks = self._state_chunks
+        state_required = self._state_required
+        inf = math.inf
+        calls = visited = 0
+        # the suspended ancestors of the running frame, one locals tuple each
+        stack = []
+        cur, avail = node, m_avail
+        while True:
+            # enter `cur` with `avail` memory; cut None: blocked (lines 3-5)
+            calls += 1
+            kept = state_cut[cur]
+            required = state_required[cur]
+            if kept is not None and required <= avail + _EPS:
+                cut = list(kept)
+                chunks = list(state_chunks[cur])
+            elif mem_req[cur] > avail + _EPS:
+                cut = None
+            else:
+                # execute the node itself (paper lines 10-11)
+                cut = child_idx[child_ptr[cur] : child_ptr[cur + 1]]
+                chunks = [cur]
+                required = mem_req[cur]
+                visited += 1
+            total = 0.0
+            if cut is not None:
+                for j in cut:
+                    total += f[j]
+            candidates = ()
+            k = 0
+            merged = cut is not None
+            # advance the running frame until it descends into an inner node
+            while True:
+                if k < len(candidates):
+                    j = candidates[k]
+                    k += 1
+                    rest = total - f[j]
+                    child_avail = avail - rest
+                    if child_ptr[j] != child_ptr[j + 1]:
+                        stack.append(
+                            (cur, avail, cut, chunks, required, total,
+                             candidates, k, merged, j, rest)
+                        )
+                        cur, avail = j, child_avail
+                        break
+                    # a leaf child: executed whole or blocked, no frame
+                    calls += 1
+                    leaf_req = mem_req[j]
+                    if leaf_req > child_avail + _EPS:
+                        peak_of[j] = leaf_req
+                        continue
+                    if state_cut[j] is None:
+                        visited += 1
+                        state_cut[j] = ()
+                        state_chunks[j] = (j,)
+                        state_required[j] = leaf_req
+                    peak_of[j] = inf
+                    cut.remove(j)
+                    chunks.append(j)
+                    total -= f[j]
+                    req = rest + leaf_req
+                    if req > required:
+                        required = req
+                    merged = True
+                    continue
+                if merged and cut:
+                    # a new pass over the frontier (paper lines 12-18); a
+                    # pass that merged nothing ended the frame
+                    headroom = avail - total
+                    candidates = [
+                        j for j in cut if headroom + f[j] >= peak_of[j] - _EPS
+                    ]
+                    k = 0
+                    merged = False
+                    continue
+                # the frame is done: its result, then back to the parent
+                if cut is None:
+                    resident, peak = inf, mem_req[cur]
+                    sub_cut, sub_chunks, required = (), (), 0.0
+                else:
+                    resident = total
+                    peak = inf
+                    for j in cut:
+                        cand = peak_of[j] + (resident - f[j])
+                        if cand < peak:
+                            peak = cand
+                    sub_cut = cut
+                    sub_chunks = tuple(chunks)
+                    state_cut[cur] = cut
+                    state_chunks[cur] = sub_chunks
+                    state_required[cur] = required
+                if not stack:
+                    self.explore_calls += calls
+                    self.nodes_visited += visited
+                    return (resident, tuple(sub_cut), sub_chunks, peak, required)
+                sub_required = required
+                (cur, avail, cut, chunks, required, total,
+                 candidates, k, merged, j, rest) = stack.pop()
+                peak_of[j] = peak
+                if resident <= f[j] + _EPS:
                     # merge the child's cut in place of the child (16-18)
                     idx = cut.index(j)
                     cut[idx : idx + 1] = sub_cut
                     chunks.append(sub_chunks)
-                    total += sub_resident - f[j]
+                    total += resident - f[j]
                     req = rest + sub_required
                     if req > required:
                         required = req
-            # `total` tracks the resident size of the (possibly spliced) cut;
-            # recompute the headroom on the next pass over the new frontier
-
-        resident = total
-        if cut:
-            peak = math.inf
-            for j in cut:
-                cand = peak_of[j] + (resident - f[j])
-                if cand < peak:
-                    peak = cand
-        else:
-            peak = math.inf
-        self._state_cut[node] = list(cut)
-        self._state_chunks[node] = list(chunks)
-        self._state_required[node] = required
-        return (resident, tuple(cut), tuple(chunks), peak, required)
+                    merged = True
 
 
 def kernel_min_mem(

@@ -13,11 +13,12 @@ choice automatically:
   the committed ``BENCH`` optimality ratios by ``tools/fit_portfolio.py``
   -- maps those features to the predicted-best in-core algorithm;
 * above :data:`RACE_NODE_THRESHOLD` nodes, where a wrong pick is most
-  expensive and the sweeps are slow enough to amortise process overhead,
-  ``auto`` instead *races* :data:`RACE_CANDIDATES` through the persistent
-  shared-memory engine (:mod:`repro.solvers.engine`) and keeps the winner
-  by ``(peak_memory, io_volume, candidate order)`` -- never wall time, so
-  the result is deterministic whichever candidate finishes first.
+  expensive, ``auto`` instead *races* :data:`RACE_CANDIDATES`: it runs
+  each in turn in the calling process and keeps the winner by
+  ``(peak_memory, io_volume, candidate order)`` -- never wall time, so
+  the result is deterministic.  Both candidates are O(p) sweeps, cheaper
+  than shipping the tree to worker processes, so the race starts no pool
+  and costs the sum of the two sweeps plus the O(p) features.
 
 The table is deliberately conservative: every rule routes to an *exact*
 algorithm (``liu``, ``minmem``) except the pure-chain rule, whose
@@ -31,10 +32,9 @@ within :data:`TOLERANCE` of the best single in-core algorithm.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import operator
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.kernel import TreeKernel
 from ..core.tree import Tree
@@ -210,20 +210,6 @@ def route(features: Dict[str, float]) -> Tuple[str, str]:
     raise AssertionError("ROUTING_TABLE must end with a catch-all rule")
 
 
-def _race(tree, kern: TreeKernel) -> List[SolveReport]:
-    """One report per :data:`RACE_CANDIDATES`, racing via the persistent
-    engine in the main process and sequentially inside worker processes
-    (nesting pools inside an engine worker would deadlock the arena)."""
-    from .facade import _dispatch, solve_many
-
-    if multiprocessing.parent_process() is None:
-        (by_name,) = solve_many(
-            [kern], RACE_CANDIDATES, workers=len(RACE_CANDIDATES)
-        )
-        return [by_name[name] for name in RACE_CANDIDATES]
-    return [_dispatch(tree, name, None, {}, strict=False) for name in RACE_CANDIDATES]
-
-
 @register_solver(
     "auto",
     family="portfolio",
@@ -241,8 +227,13 @@ def _solve_auto(
     features = tree_features(kern)
     threshold = RACE_NODE_THRESHOLD if race_threshold is None else race_threshold
 
+    # local import: the facade imports this module at package init time
+    from .facade import _dispatch
+
     if kern.size >= threshold:
-        reports = _race(tree, kern)
+        reports = [
+            _dispatch(tree, name, None, {}, strict=False) for name in RACE_CANDIDATES
+        ]
         # deterministic winner: quality, then candidate order -- never time
         winner = min(
             range(len(reports)),
@@ -255,8 +246,6 @@ def _solve_auto(
             "candidates": list(RACE_CANDIDATES),
         }
     else:
-        from .facade import _dispatch
-
         rule, chosen = route(features)
         inner = _dispatch(tree, chosen, None, {}, strict=False)
         info = {"algorithm": inner.algorithm, "mode": "route", "rule": rule}

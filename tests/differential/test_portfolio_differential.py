@@ -102,6 +102,38 @@ def test_forced_race_equals_best_candidate():
     assert raced.algorithm == "auto"
 
 
+def test_large_tree_race_runs_in_the_calling_process():
+    """At RACE_NODE_THRESHOLD nodes ``auto`` races without any pool."""
+    import multiprocessing
+
+    from repro.core.builders import chain_tree
+    from repro.solvers.engine import dispatch
+
+    dispatch.shutdown_engine()
+    children = {p.pid for p in multiprocessing.active_children()}
+    tree = chain_tree(25_000, f=2.0, n=1.0)
+    report = solve(tree, "auto")
+    assert not dispatch._default_engines
+    assert {p.pid for p in multiprocessing.active_children()} <= children
+
+    candidates = [solve(tree, name) for name in RACE_CANDIDATES]
+    best = min(
+        range(len(candidates)),
+        key=lambda i: (candidates[i].peak_memory, candidates[i].io_volume, i),
+    )
+    forced = solve(tree, "auto", race_threshold=1)
+    for got in (report, forced):
+        assert got.algorithm == "auto"
+        assert got.peak_memory == candidates[best].peak_memory
+        assert got.traversal == candidates[best].traversal
+    assert report.extras["portfolio"] == forced.extras["portfolio"] == {
+        "algorithm": RACE_CANDIDATES[best],
+        "mode": "race",
+        "candidates": list(RACE_CANDIDATES),
+        "features": tree_features(tree.kernel()),
+    }
+
+
 def test_features_are_json_safe_floats():
     from repro.generators.random_trees import random_attachment_tree
 

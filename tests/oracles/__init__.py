@@ -11,6 +11,7 @@ kernel against them on the same trees and matrices.
 Each module mirrors the library module it checks and exposes plain
 functions returning the library's own result types:
 
+* :mod:`oracles.builders` -- ``from_parent_list``;
 * :mod:`oracles.postorder` -- ``postorder_with_rule``;
 * :mod:`oracles.liu` -- ``liu_optimal_traversal``;
 * :mod:`oracles.explore` -- ``ExploreSolver`` (paper Algorithm 3);

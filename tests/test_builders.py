@@ -1,5 +1,8 @@
 """Unit tests for tree builders and the model-variant reductions."""
 
+import math
+import random
+
 import pytest
 
 from repro.core.builders import (
@@ -12,8 +15,56 @@ from repro.core.builders import (
     star_tree,
     uniform_weights,
 )
+from repro.core.kernel import TreeKernel
 from repro.core.liu import liu_min_memory
 from repro.core.tree import Tree, TreeValidationError
+
+from oracles import builders as builders_oracle
+
+
+def _random_parent_array(rng):
+    """A parent array over shuffled labels, sometimes broken on purpose."""
+    p = rng.randint(1, 15)
+    labels = list(range(p))
+    rng.shuffle(labels)
+    parents = [None] * p
+    for k in range(1, p):
+        parents[labels[k]] = labels[rng.randrange(k)]
+    parents[labels[0]] = rng.choice([None, -1])
+    roll = rng.random()
+    if roll < 0.05 and p > 1:
+        parents[labels[1]] = None  # a second root
+    elif roll < 0.10 and p > 2:
+        parents[labels[1]] = labels[2]  # often a cycle
+    elif roll < 0.13:
+        parents[rng.randrange(p)] = p + 3  # out of range
+    weights = [0.0, 1.0, 2.5, 1e-9, 7.0]
+    f = [rng.choice(weights) for _ in range(p)]
+    n = [rng.choice(weights + [-1.0]) for _ in range(p)]
+    roll = rng.random()
+    if roll < 0.05:
+        f[rng.randrange(p)] = -1.0
+    elif roll < 0.10:
+        f[rng.randrange(p)] = math.nan
+    elif roll < 0.15:
+        n[rng.randrange(p)] = math.inf
+    elif roll < 0.20:
+        n[rng.randrange(p)] = -50.0
+    return parents, f, n
+
+
+def _built(build, parents, f, n):
+    """Everything observable about a build: the tree and kernel, or the error."""
+    try:
+        tree = build(parents, f, n)
+    except Exception as exc:
+        return type(exc), str(exc)
+    kern = tree.kernel()
+    nodes = [(v, tree.parent(v), tree.children(v), tree.f(v), tree.n(v))
+             for v in tree.nodes()]
+    arrays = (kern.ids, kern.parent, kern.child_ptr, kern.child_idx,
+              kern.f, kern.n, kern.mem_req)
+    return repr(nodes), repr(arrays)
 
 
 class TestFromParentList:
@@ -43,6 +94,26 @@ class TestFromParentList:
     def test_out_of_range_parent_rejected(self):
         with pytest.raises(TreeValidationError):
             from_parent_list([None, 7])
+
+    def test_invalid_weights_rejected(self):
+        with pytest.raises(TreeValidationError, match="negative file size"):
+            from_parent_list([None, 0], f=[5.0, -2.0])
+        with pytest.raises(TreeValidationError, match="non-finite n"):
+            from_parent_list([None, 0], n=[0.0, math.nan])
+
+    def test_bulk_build_matches_per_node_oracle(self):
+        """Same trees, kernels and errors as node-by-node insertion."""
+        for seed in range(3000):
+            parents, f, n = _random_parent_array(random.Random(seed))
+            got = _built(from_parent_list, parents, f, n)
+            expected = _built(builders_oracle.from_parent_list, parents, f, n)
+            assert got == expected, f"seed {seed}"
+
+    def test_kernel_is_built_and_validated(self):
+        t = from_parent_list([2, 2, None], f=[1.0, 2.0, 0.0], n=[0.0, 0.0, 1.0])
+        kern = t.kernel()
+        assert kern.ids == [2, 0, 1] and kern._validated
+        assert kern.parent == TreeKernel.from_tree(t).parent
 
 
 class TestFromEdgesAndNetworkx:

@@ -1,9 +1,12 @@
 """Unit tests for the Explore algorithm and the MinMem exact solver."""
 
 import math
+import random
+import threading
 
 import pytest
 
+from repro.bench.replay import replay_report
 from repro.core.bruteforce import optimal_min_memory
 from repro.core.builders import chain_tree, from_parent_list, star_tree
 from repro.core.kernel import KernelExploreSolver, flatten_chunks
@@ -12,6 +15,7 @@ from repro.core.minmem import min_mem, min_memory
 from repro.core.postorder import best_postorder
 from repro.core.traversal import TOPDOWN, check_in_core, is_topological, peak_memory
 from repro.generators.harpoon import harpoon_tree, iterated_harpoon_tree
+from repro.solvers import solve
 
 from _helpers import make_random_tree
 
@@ -133,3 +137,63 @@ class TestMinMem:
         res = min_mem(t)
         assert res.iterations >= 1
         assert res.explore_calls >= res.iterations
+
+
+#: an 8-node tree whose float sums drift past the 1e-9 tolerance: a child
+#: stays a candidate after every pass over the root's cut, merging nothing
+STALL_PAYLOAD = {
+    "parents": [-1, 0, 0, 0, 0, 3, 0, 3],
+    "f": [0, 3, 0, 1e6, 1e12, 1e-9, 0.1, 3],
+    "n": [0, 0.1, 3, 0.1, 3, 3, 0, 0],
+}
+
+#: weights spanning 26 decades: sums of these lose low-order bits
+WIDE_WEIGHTS = (0.0, 1e-9, 0.1, 1.0, 3.0, 1e6, 1e12, 1e17)
+
+
+def _minmem_within(tree, seconds=5.0):
+    """``solve(tree, "minmem")`` in a daemon thread; fails if it overruns."""
+    box = {}
+
+    def target():
+        try:
+            box["report"] = solve(tree, "minmem")
+        except Exception as exc:
+            box["error"] = exc
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"minmem did not finish within {seconds} s"
+    return box
+
+
+class TestTermination:
+    """A pass over the cut that merges nothing ends the pass loop."""
+
+    def test_pinned_float_stall_raises(self):
+        tree = from_parent_list(**STALL_PAYLOAD)
+        outcome = _minmem_within(tree)
+        assert isinstance(outcome.get("error"), RuntimeError)
+        assert "floating-point stall" in str(outcome["error"])
+        assert solve(tree, "liu").peak_memory == 1000001000003.1
+
+    def test_wide_weight_sweep_answers_or_stalls(self):
+        answered = 0
+        for seed in range(2000):
+            rng = random.Random(seed)
+            p = rng.randint(1, 12)
+            tree = from_parent_list(
+                [None] + [rng.randrange(i) for i in range(1, p)],
+                f=[rng.choice(WIDE_WEIGHTS) for _ in range(p)],
+                n=[rng.choice(WIDE_WEIGHTS) for _ in range(p)],
+            )
+            outcome = _minmem_within(tree)
+            if "error" in outcome:
+                assert isinstance(outcome["error"], RuntimeError), f"seed {seed}"
+                assert "floating-point stall" in str(outcome["error"])
+            else:
+                replay_report(tree, outcome["report"])
+                answered += 1
+        assert answered >= 1900
+

@@ -131,6 +131,19 @@ class TestTreeKernel:
         with pytest.raises(ValueError, match="negative memory requirement"):
             TreeKernel([-1, 0], [1.0, 1.0], [0.0, -5.0]).validate_weights()
 
+    def test_weights_validated_once_per_kernel(self):
+        kern = TreeKernel([-1, 0, 0], [0.0, 2.0, 1.0], [1.0, 0.0, 3.0])
+        assert not kern._validated
+        solve(kern, "minmem")
+        assert kern._validated
+        # a validated kernel is trusted: the solves sharing it skip the scan
+        kern.f[1] = -2.0
+        kern.validate_weights()
+        assert pickle.loads(pickle.dumps(kern))._validated
+        # derived kernels start unvalidated
+        assert not TreeKernel.from_flat_arrays(*kern.to_flat_arrays())._validated
+        assert not kern.patched([("f", 2, 5.0)])._validated
+
 
 class TestFromParents:
     def test_bulk_matches_add_node(self):
@@ -276,7 +289,8 @@ class TestEngineEquivalence:
             optimum = min_mem(tree).memory
             for fraction in (1.0, 0.5, 0.0):
                 memory = floor + fraction * (optimum - floor)
-                ref = ExploreSolver(tree).explore(tree.root, memory)
+                oracle = ExploreSolver(tree)
+                ref = oracle.explore(tree.root, memory)
                 kern = tree.kernel()
                 solver = KernelExploreSolver(kern)
                 resident, cut, _, peak, required = solver.explore(0, memory)
@@ -284,6 +298,11 @@ class TestEngineEquivalence:
                 assert peak == pytest.approx(ref.peak)
                 assert required == pytest.approx(ref.required)
                 assert [kern.ids[j] for j in cut] == list(ref.cut)
+                # leaves run inline, without a frame, yet count the same
+                assert (solver.explore_calls, solver.nodes_visited) == (
+                    oracle.explore_calls,
+                    oracle.nodes_visited,
+                )
 
 
 class TestEngineOption:

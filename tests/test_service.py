@@ -1,6 +1,7 @@
 """Tests for the solver service daemon (repro.service)."""
 
 import asyncio
+import contextlib
 import json
 import time
 
@@ -432,11 +433,11 @@ class TestStdioFrontEnd:
         )
         assert doc["report"]["peak_memory"] == direct.peak_memory
 
-    def test_default_backend_answers_a_lone_first_request(self):
-        """`serve --stdio --workers 2` (no --pool: the persistent process
-        pool) must answer a first request that arrives alone; the pool forks
-        while the stdin reader is blocked, which used to deadlock every
-        worker on the inherited stdin lock."""
+    @staticmethod
+    @contextlib.contextmanager
+    def _cli_daemon(*flags):
+        """``repro serve --stdio FLAGS`` in its own session; yields ``ask``,
+        which sends one request and returns the answer (None after 10 s)."""
         import os
         import select
         import signal
@@ -452,22 +453,50 @@ class TestStdioFrontEnd:
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", "--stdio",
-             "--workers", "2", "--log-level", "error"],
+            [sys.executable, "-m", "repro.cli", "serve", "--stdio", *flags,
+             "--log-level", "error"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL, env=env, start_new_session=True,
         )
-        try:
-            request = {"id": "first", "tree": PARENTS, "algorithm": "minmem"}
+
+        def ask(request):
             proc.stdin.write((json.dumps(request) + "\n").encode())
             proc.stdin.flush()
             ready, _, _ = select.select([proc.stdout], [], [], 10.0)
-            assert ready, "daemon did not answer within 10 s"
-            doc = json.loads(proc.stdout.readline())
+            return json.loads(proc.stdout.readline()) if ready else None
+
+        try:
+            yield ask
         finally:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
+
+    def test_default_backend_answers_a_lone_first_request(self):
+        """`serve --stdio --workers 2` (no --pool: the persistent process
+        pool) must answer a first request that arrives alone; the pool forks
+        while the stdin reader is blocked, which used to deadlock every
+        worker on the inherited stdin lock."""
+        with self._cli_daemon("--workers", "2") as ask:
+            doc = ask({"id": "first", "tree": PARENTS, "algorithm": "minmem"})
+        assert doc is not None, "daemon did not answer within 10 s"
         assert doc["id"] == "first" and doc["status"] == "ok"
+
+    def test_float_stall_leaves_the_worker_free(self):
+        """A MinMem float stall is a solver error, and the only worker
+        thread is then free to answer the next request."""
+        stall = {
+            "parents": [-1, 0, 0, 0, 0, 3, 0, 3],
+            "f": [0, 3, 0, 1e6, 1e12, 1e-9, 0.1, 3],
+            "n": [0, 0.1, 3, 0.1, 3, 3, 0, 0],
+        }
+        small = {"parents": [-1, 0, 0], "f": [0, 16, 9], "n": [10, 20, 12]}
+        with self._cli_daemon("--pool", "threads", "--workers", "1") as ask:
+            stalled = ask({"id": "stall", "tree": stall, "algorithm": "minmem"})
+            after = ask({"id": "after", "tree": small, "algorithm": "liu"})
+        assert stalled is not None and stalled["status"] == "solver_error"
+        assert "floating-point stall" in stalled["error"]["message"]
+        assert after is not None, "the next request got no answer within 10 s"
+        assert after["id"] == "after" and after["status"] == "ok"
 
     def test_shutdown_op_stops_reading(self):
         out, snapshot = self._drive([
