@@ -25,16 +25,18 @@ budget, round) cell across all instances at once.  Warmup cells fan out
 its meaning under parallel execution.
 
 The planner is backend-generic: ``pool=`` names any registered executor
-backend (:data:`~repro.solvers.facade.POOL_MODES`), and backends that hand
-out futures (``persistent``, ``threads``, ``dask``) get *work-splitting* --
-each grid is cut into about ``saturate_factor x workers`` contiguous work
-units submitted as one future each, so workers stay saturated without
-per-cell dispatch overhead -- plus *straggler re-splitting*: a unit still
-running after ``straggler_factor x`` the median unit round trip is split
-in half and resubmitted, and whichever copy of a cell finishes first wins
-(results are deduplicated by cell index, deterministic because every
-solver is).  Backends without futures (``serial``, ``fresh``) run each
-grid as one blocking batch.  All modes produce bit-identical reports.
+backend (:data:`~repro.solvers.facade.POOL_MODES`), and every backend
+hands out futures, so each gets *work-splitting* -- each grid is cut into
+about ``saturate_factor x workers`` contiguous work units submitted as one
+future each, so workers stay saturated without per-cell dispatch overhead
+-- plus *straggler re-splitting*: a unit still running after
+``straggler_factor x`` the median unit round trip is split in half and
+resubmitted, and whichever copy of a cell finishes first wins (results
+are deduplicated by cell index, deterministic because every solver is).
+``pool="serial"`` and single-worker campaigns solve inline with no
+engine; under a fault plan the serial backend's futures complete as they
+are submitted, so its units simply run in order.  All modes produce
+bit-identical reports.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.tree import Tree
-from ..solvers.facade import POOL_MODES, _solve_task
+from ..solvers.facade import _check_pool, _solve_task
 from ..solvers.registry import get_solver
 from ..solvers.report import SolveReport
 from .replay import ReplayError, replay_report
@@ -213,14 +215,12 @@ def run_scenarios(
     pool:
         Executor backend for the campaign, any name in
         :data:`~repro.solvers.facade.POOL_MODES` (``None`` = the default
-        ``"persistent"`` shared-memory process engine).  Backends that hand
-        out futures (``persistent``, ``threads``, ``dask``) run the grids
-        with work-splitting and straggler re-splitting; ``"fresh"`` runs
-        each grid as one blocking one-shot-pool batch and ``"serial"``
+        ``"persistent"`` shared-memory process engine).  The grids run
+        with work-splitting and straggler re-splitting; ``"serial"`` runs
         fully in-process.  All modes produce bit-identical reports.
     saturate_factor:
-        Work units submitted per worker on future-capable backends
-        (roughly; units are contiguous cell runs of near-equal size).
+        Work units submitted per worker (roughly; units are contiguous
+        cell runs of near-equal size).
         More units mean finer-grained load balancing at slightly higher
         dispatch overhead.
     straggler_factor:
@@ -252,8 +252,7 @@ def run_scenarios(
         raise ValueError("repeat must be >= 1")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
-    if pool not in (None, *POOL_MODES):
-        raise ValueError(f"unknown pool mode {pool!r}; expected one of {POOL_MODES}")
+    _check_pool(pool)
     if saturate_factor <= 0:
         raise ValueError("saturate_factor must be > 0")
     if straggler_factor <= 0:
@@ -360,11 +359,10 @@ class _CampaignDispatcher:
 
     One dispatcher serves a whole :func:`run_scenarios` call, so its
     ``work_units`` / ``straggler_resplits`` counters aggregate across
-    scenarios into the run-level extras.  Routing is by backend
-    *capability*, not name: future-capable backends get work-splitting and
-    straggler re-splitting, the rest run each grid as one blocking batch
-    (with the engine's usual serial fallback when the platform cannot run
-    the backend at all).
+    scenarios into the run-level extras.  Whenever an engine runs the
+    campaign, its backend gets work-splitting and straggler re-splitting
+    (a unit completes inline when the platform cannot run the backend at
+    all).
     """
 
     def __init__(
@@ -437,11 +435,6 @@ class _CampaignDispatcher:
         engine = self._engine
         if engine is None or len(cells) < 2:
             return [_solve_task(cell) for cell in cells]
-        if not engine.backend.supports_futures:
-            flat = engine.run_batch(cells, self.workers)
-            if flat is None:
-                flat = [_solve_task(cell) for cell in cells]
-            return flat
         return self._solve_split(engine, cells)
 
     # ------------------------------------------------------------------

@@ -62,7 +62,6 @@ from .core.minio import HEURISTICS
 from .core.serialize import load_tree, save_tree, solve_report_to_dict
 from .core.tree import TreeValidationError
 from .solvers import (
-    BackendUnavailableError,
     UnknownSolverError,
     backend_names,
     backend_table,
@@ -75,13 +74,10 @@ from .solvers import (
 __all__ = ["main", "build_parser"]
 
 
-def _pool_help(*, service_only: bool = False) -> str:
+def _pool_help() -> str:
     """``--pool`` help text straight from the backend registry."""
-    names = backend_names(service_only=service_only)
     entries = "; ".join(
-        f"'{spec.name}' = {spec.summary}"
-        for spec in backend_table()
-        if spec.name in names
+        f"'{spec.name}' = {spec.summary}" for spec in backend_table()
     )
     return f"executor backend: {entries}"
 
@@ -186,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes for the solver batches (default: serial)")
     p_bench.add_argument("--pool", choices=backend_names(), default=None,
                          help=_pool_help() + " (default: persistent; "
-                              "future-capable backends run the campaign with "
-                              "work-splitting and straggler re-splitting)")
+                              "the campaign runs with work-splitting and "
+                              "straggler re-splitting)")
     p_bench.add_argument("--json", action="store_true",
                          help="persist a schema-versioned BENCH_<timestamp>.json artifact")
     p_bench.add_argument("--output", type=Path, default=None, metavar="PATH",
@@ -236,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--workers", type=int, default=None,
                          help="worker processes of the persistent engine "
                               "(default: in-process execution)")
-    p_serve.add_argument("--pool", choices=backend_names(service_only=True),
+    p_serve.add_argument("--pool", choices=backend_names(),
                          default=None,
-                         help=_pool_help(service_only=True)
+                         help=_pool_help()
                               + " (default: persistent when --workers > 1, "
                                 "else serial)")
     p_serve.add_argument("--max-pending", type=int, default=128, metavar="N",
@@ -306,9 +302,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_serve(args)
         if args.command == "report":
             return _cmd_report(args)
-    except (UnknownSolverError, BackendUnavailableError) as exc:
-        # missing optional backend dependency (pool=dask without dask): a
-        # configuration error, reported like an unknown solver name
+    except UnknownSolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, TreeValidationError, json.JSONDecodeError) as exc:
@@ -593,12 +587,6 @@ def _format_traffic_table(run) -> str:
 
 def _cmd_bench_traffic(args: argparse.Namespace, bench) -> int:
     """The ``bench --traffic`` branch: open-loop load over the service."""
-    from .service.daemon import SERVICE_POOL_MODES
-
-    if args.pool is not None and args.pool not in SERVICE_POOL_MODES:
-        print(f"error: the service daemon has no {args.pool!r} pool mode; "
-              f"use one of {', '.join(SERVICE_POOL_MODES)}", file=sys.stderr)
-        return 2
     scenarios = bench.select_traffic_scenarios(args.filter, smoke=args.smoke)
     if not scenarios:
         print(f"error: no traffic scenario matches filter {args.filter!r}",

@@ -3,8 +3,8 @@
 :class:`FaultyBackend` wraps any registered :class:`ExecutorBackend` and
 executes a :class:`~repro.faults.plan.FaultPlan` against the cell stream
 passing through it.  The wrapped backend is untouched -- the whole point of
-the decorator shape is that persistent/fresh/threads/serial/dask all run
-under chaos with zero code changes to the backends themselves.
+the decorator shape is that persistent/threads/serial all run under chaos
+with zero code changes to the backends themselves.
 
 Position bookkeeping is the subtle part.  Faults are keyed by *cell
 sequence number*: the order cells are **first** submitted.  The resilience
@@ -68,9 +68,9 @@ def _submit_error(spec: FaultSpec) -> BaseException:
 class FaultyBackend(ExecutorBackend):
     """Wrap ``inner`` so the given :class:`FaultPlan` fires against it.
 
-    Mirrors the inner backend's name and capability flags, delegates every
-    lifecycle call, and keeps per-wrapper injection counters (``injected``)
-    alongside the process-global ledger.
+    Mirrors the inner backend's name and ``releases_gil`` flag, delegates
+    every lifecycle call, and keeps per-wrapper injection counters
+    (``injected``) alongside the process-global ledger.
     """
 
     def __init__(self, inner: ExecutorBackend, plan: FaultPlan) -> None:
@@ -86,11 +86,7 @@ class FaultyBackend(ExecutorBackend):
         # wrapped backend exactly as it would see the real one
         self.name = inner.name
         self.summary = inner.summary
-        self.ships_arena = inner.ships_arena
         self.releases_gil = inner.releases_gil
-        self.distributed = inner.distributed
-        self.supports_futures = inner.supports_futures
-        self.service = inner.service
 
     # ------------------------------------------------------------------
     @property
@@ -161,9 +157,6 @@ class FaultyBackend(ExecutorBackend):
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def scatter(self, trees: Sequence[Any]) -> None:
-        self._inner.scatter(trees)
-
     def map_cells(self, cells: Sequence[Cell], workers: int) -> List[Any]:
         prepared, submit_spec = self._prepare_many(cells)
         if submit_spec is not None:
@@ -199,9 +192,6 @@ class FaultyBackend(ExecutorBackend):
     # ------------------------------------------------------------------
     def reset(self) -> None:
         self._inner.reset()
-
-    def stop(self) -> None:
-        self._inner.stop()
 
     def shutdown(self) -> None:
         self._inner.shutdown()

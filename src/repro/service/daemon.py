@@ -15,10 +15,10 @@ control loop modelled on the scatter-once / stop-flag structure of treeck's
   worker processes exactly once;
 * **dispatch**: a dispatcher task feeds admitted requests to the executor --
   per-request futures on a :class:`~repro.solvers.engine.SolveEngine` over
-  any service-capable executor backend (``pool="persistent"`` processes,
-  ``pool="threads"``, ``pool="dask"``) or an in-process thread pool
-  (``pool="serial"``, also the automatic fallback where the backend is
-  unavailable) -- with a bounded number in flight;
+  an executor backend (``pool="persistent"`` processes or
+  ``pool="threads"``) or an in-process thread pool (``pool="serial"``,
+  also the automatic fallback where the backend is unavailable) -- with a
+  bounded number in flight;
 * **report**: the response carries the frozen
   :class:`~repro.solvers.SolveReport` plus the queue/solve/total timing
   breakdown.
@@ -57,8 +57,7 @@ from ..obs import (
     log_event,
     render_prometheus,
 )
-from ..solvers.engine.backends import backend_names
-from ..solvers.facade import _solve_task
+from ..solvers.facade import _check_pool, _solve_task
 from .errors import (
     CircuitOpenError,
     DeadlineError,
@@ -75,15 +74,9 @@ from .protocol import (
     parse_request,
 )
 
-__all__ = ["SolverService", "ServiceStats", "SERVICE_POOL_MODES"]
+__all__ = ["SolverService", "ServiceStats"]
 
 _log = get_logger("service")
-
-#: executor modes of the service, straight from the backend registry --
-#: every future-capable backend plus forced in-process execution (also the
-#: automatic fallback); ``fresh`` is excluded, a one-shot pool per request
-#: being the antithesis of a long-lived daemon
-SERVICE_POOL_MODES = backend_names(service_only=True)
 
 
 @dataclass
@@ -186,10 +179,10 @@ class SolverService:
         thread executor instead.
     pool:
         Executor backend of the service (any name in
-        :data:`SERVICE_POOL_MODES`).  Non-serial modes make the service own
-        a :class:`~repro.solvers.engine.SolveEngine` on that backend
-        (``"persistent"`` processes + shared-memory arena, ``"threads"``,
-        ``"dask"``), shut down with the service; ``"serial"`` uses an
+        :data:`~repro.solvers.facade.POOL_MODES`).  Non-serial modes make
+        the service own a :class:`~repro.solvers.engine.SolveEngine` on
+        that backend (``"persistent"`` processes + shared-memory arena, or
+        ``"threads"``), shut down with the service; ``"serial"`` uses an
         in-process thread pool (deterministic, sandbox-safe).  ``None``
         picks ``"persistent"`` when ``workers > 1``.  Unknown strings raise
         :class:`ValueError` eagerly, mirroring ``solve_many``.
@@ -234,11 +227,7 @@ class SolverService:
         breaker: Optional[CircuitBreaker] = None,
         fault_plan: Optional[Any] = None,
     ) -> None:
-        if pool not in (None, *SERVICE_POOL_MODES):
-            raise ValueError(
-                f"unknown service pool mode {pool!r}; expected one of "
-                f"{SERVICE_POOL_MODES}"
-            )
+        _check_pool(pool)
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         self.workers = int(workers or 0)
@@ -632,7 +621,7 @@ class SolverService:
                 from concurrent.futures.process import BrokenProcessPool
 
                 try:
-                    report = await self._await_engine_future(exec_future)
+                    report = await asyncio.wrap_future(exec_future)
                 except BrokenProcessPool:
                     # a worker crashed mid-request: feed the breaker, heal
                     # the backend, and give this request its answer
@@ -662,22 +651,6 @@ class SolverService:
             trace.begin("solve")
         report = await loop.run_in_executor(self._threads(), _solve_task, cell)
         return report, ("threads" if self._engine is not None else "serial")
-
-    @staticmethod
-    async def _await_engine_future(exec_future):
-        """Await any backend's future without blocking the event loop.
-
-        In-process backends hand out :class:`concurrent.futures.Future`
-        (bridged by ``asyncio.wrap_future``); dask futures only share the
-        blocking ``result()`` surface, so they park on the default thread
-        executor instead.
-        """
-        import concurrent.futures
-
-        if isinstance(exec_future, concurrent.futures.Future):
-            return await asyncio.wrap_future(exec_future)
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, exec_future.result)
 
     def _threads(self):
         if self._thread_pool is None:

@@ -4,8 +4,8 @@ This is the engine's original execution strategy, rehomed behind the
 :class:`~.base.ExecutorBackend` protocol: a
 :class:`~repro.solvers.engine.pool.PersistentPool` of worker processes
 reused across batches, and a :class:`~repro.solvers.engine.arena.TreeArena`
-that ships each tree's flat kernel arrays to the workers exactly once
-(``ships_arena``), so payloads are compact ``(token, algorithm, memory,
+that ships each tree's flat kernel arrays to the workers exactly once,
+so payloads are compact ``(token, algorithm, memory,
 options)`` tuples rather than pickled trees.  Behaviour -- clamping,
 chunk sizing, the grow-retry on a concurrently replaced executor, arena
 dedup by kernel identity -- is unchanged from the pre-backend engine.
@@ -66,7 +66,6 @@ class PersistentBackend(ExecutorBackend):
     summary = (
         "shared-memory process engine reused across batches (the default)"
     )
-    ships_arena = True
     releases_gil = True
 
     def __init__(self, *, use_shared_memory: Optional[bool] = None) -> None:
@@ -102,11 +101,6 @@ class PersistentBackend(ExecutorBackend):
         return _call_with_pool_retry(self.pool, executor, call)
 
     # ------------------------------------------------------------------
-    def scatter(self, trees: Sequence[Any]) -> None:
-        with self._lock:
-            for tree in trees:
-                self.arena.export(tree)
-
     def map_cells(self, cells: Sequence[Cell], workers: int) -> List[Any]:
         with self._lock:
             executor = self._ensure(workers)

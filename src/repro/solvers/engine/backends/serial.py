@@ -11,11 +11,23 @@ differs, and report equality excludes it).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, List, Sequence
 
 from .base import Cell, ExecutorBackend, _solve_cell, _solve_chunk
 
 __all__ = ["SerialBackend"]
+
+
+def _completed(call, *args):
+    """Run ``call(*args)`` inline; a future already holding its outcome."""
+    from concurrent.futures import Future
+
+    future: "Future" = Future()
+    try:
+        future.set_result(call(*args))
+    except Exception as exc:  # solver errors surface on the future
+        future.set_exception(exc)
+    return future
 
 
 class SerialBackend(ExecutorBackend):
@@ -23,23 +35,16 @@ class SerialBackend(ExecutorBackend):
 
     name = "serial"
     summary = "forced in-process execution (the bit-identical reference)"
-    supports_futures = False
 
     def map_cells(self, cells: Sequence[Cell], workers: int) -> List[Any]:
         del workers
         return _solve_chunk(cells)
 
+    # inline, but future-shaped: each future completes before it is returned
     def submit_cell(self, cell: Cell, workers: int):
-        # inline, but future-shaped: completes before it is returned
-        from concurrent.futures import Future
-
         del workers
-        future: "Future" = Future()
-        try:
-            future.set_result(_solve_cell(cell))
-        except BaseException as exc:  # solver errors surface on the future
-            future.set_exception(exc)
-        return future
+        return _completed(_solve_cell, cell)
 
-    def snapshot(self) -> Dict[str, Any]:
-        return {}
+    def submit_chunk(self, cells: Sequence[Cell], workers: int):
+        del workers
+        return _completed(_solve_chunk, list(cells))

@@ -46,10 +46,15 @@ DEFAULT_COMPARE_ALGORITHMS = ("postorder", "liu", "minmem")
 
 #: executor modes for parallel batches, straight from the backend registry
 #: (one source of truth shared with ``bench --pool`` and ``serve --pool``):
-#: the persistent shared-memory process engine (default), a one-shot pool
-#: per call (legacy), forced serial execution, a persistent in-process
-#: thread pool, and an optional ``dask.distributed`` cluster
+#: the persistent shared-memory process engine (default), forced serial
+#: execution, and a persistent in-process thread pool
 POOL_MODES = backend_names()
+
+
+def _check_pool(pool: Optional[str]) -> None:
+    """Reject a ``pool=`` value that names no registered backend."""
+    if pool not in (None, *POOL_MODES):
+        raise ValueError(f"unknown pool mode {pool!r}; expected one of {POOL_MODES}")
 
 AlgorithmArg = Union[str, Sequence[str]]
 
@@ -257,13 +262,9 @@ def solve_many(
         :data:`POOL_MODES`): ``pool="persistent"`` (the default) reuses the
         process-wide :class:`~repro.solvers.engine.SolveEngine` -- workers
         stay alive across calls and every tree's kernel is shipped to them
-        exactly once through the shared arena; ``pool="fresh"`` restores
-        the legacy one-shot pool per call; ``pool="threads"`` runs on a
-        persistent in-process thread pool; ``pool="dask"`` fans out to a
-        ``dask.distributed`` cluster (optional dependency; raises a
-        :class:`ValueError` subclass when dask is not installed);
-        ``pool="serial"`` forces in-process execution regardless of
-        ``workers``.
+        exactly once through the shared arena; ``pool="threads"`` runs on
+        a persistent in-process thread pool; ``pool="serial"`` forces
+        in-process execution regardless of ``workers``.
 
     Returns
     -------
@@ -272,8 +273,7 @@ def solve_many(
         canonical algorithm name to its :class:`SolveReport`.
     """
     pool = options.pop("pool", None)
-    if pool not in (None, *POOL_MODES):
-        raise ValueError(f"unknown pool mode {pool!r}; expected one of {POOL_MODES}")
+    _check_pool(pool)
     tree_list = list(trees)
     names = _normalize_algorithms(algorithms)
     # one shared options dict: solvers never mutate it (_prepare_options

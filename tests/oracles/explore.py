@@ -25,7 +25,11 @@ top-level calls only the entry node's reached state (``L_init`` /
 
 The recursion of Algorithm 3 is replaced by a generator-based trampoline so
 that arbitrarily deep trees (long chains) do not hit the interpreter recursion
-limit.
+limit.  As in the kernel, a pass over the cut that merges nothing ends the
+node's exploration: in exact arithmetic such a pass leaves no candidate for
+the next one, so the rule only changes inputs whose sums drift in floating
+point, which then stop with MinMem's no-progress ``RuntimeError`` instead of
+looping forever.
 
 The library runs the array-backed
 :class:`~repro.core.kernel.KernelExploreSolver`; this dict-based version,
@@ -174,6 +178,7 @@ class ExploreSolver:
             ]
             if not candidates:
                 break
+            merged = False
             for j in candidates:
                 rest = sum(f(k) for k in cut) - f(j)
                 sub: ExploreResult = yield (j, m_avail - rest)
@@ -184,6 +189,9 @@ class ExploreSolver:
                     cut[idx : idx + 1] = list(sub.cut)
                     chunks.append(sub.traversal_chunks)
                     required = max(required, rest + sub.required)
+                    merged = True
+            if not merged:
+                break
 
         resident = sum(f(j) for j in cut)
         if cut:

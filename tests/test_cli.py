@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,14 @@ class TestParser:
         parser = build_parser()
         assert parser.parse_args(["minmem", "x.json"]).command == "minmem"
         assert parser.parse_args(["experiment", "fig5"]).which == "fig5"
+
+    def test_retired_pool_rejected_by_every_command(self, tree_file, capsys):
+        for argv in (["solve", str(tree_file)], ["bench", "--smoke"],
+                     ["serve", "--stdio"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--pool", "dask"])
+            assert exc.value.code == 2
+            assert "invalid choice: 'dask'" in capsys.readouterr().err
 
 
 class TestMinMemCommand:
@@ -190,10 +199,6 @@ class TestTrafficBenchCommand:
         assert main(["bench", "--traffic", "--filter", "zzz"]) == 2
         assert "no traffic scenario" in capsys.readouterr().err
 
-    def test_fresh_pool_rejected_for_traffic(self, capsys):
-        assert main(["bench", "--traffic", "--smoke", "--pool", "fresh"]) == 2
-        assert "no 'fresh' pool" in capsys.readouterr().err
-
     def test_smoke_traffic_run_and_artifact(self, tmp_path, capsys):
         out_path = tmp_path / "BENCH_traffic.json"
         assert main(["bench", "--traffic", "--smoke", "--pool", "serial",
@@ -236,6 +241,16 @@ class TestReportCommand:
         html = out.read_text()
         assert html.lstrip().startswith("<!DOCTYPE html>")
         assert "BENCH_a.json" in html
+
+    def test_renders_an_artifact_naming_a_retired_pool(self, tmp_path):
+        from repro.bench.artifact import load_artifact
+
+        # the engine demo artifact records its one-shot-pool baseline run
+        path = Path(__file__).resolve().parent.parent / "BENCH_20260730T144747Z.json"
+        assert load_artifact(path)["run"]["baseline"]["pool"] == "fresh"
+        out = tmp_path / "dash.html"
+        assert main(["report", str(path), "--output", str(out)]) == 0
+        assert "BENCH_20260730T144747Z.json" in out.read_text()
 
     def test_globs_cwd_when_no_paths(self, tmp_path, capsys, monkeypatch):
         self._artifact(tmp_path / "BENCH_x.json")

@@ -18,6 +18,7 @@ from repro.generators.harpoon import harpoon_tree, iterated_harpoon_tree
 from repro.solvers import solve
 
 from _helpers import make_random_tree
+from oracles import minmem as minmem_oracle
 
 
 def explore(tree, memory, **kw):
@@ -150,14 +151,28 @@ STALL_PAYLOAD = {
 #: weights spanning 26 decades: sums of these lose low-order bits
 WIDE_WEIGHTS = (0.0, 1e-9, 0.1, 1.0, 3.0, 1e6, 1e12, 1e17)
 
+#: wide-weight seeds on which the oracle's Explore once looped forever
+ORACLE_HANG_SEEDS = (313, 907, 1307, 1324, 1658)
 
-def _minmem_within(tree, seconds=5.0):
-    """``solve(tree, "minmem")`` in a daemon thread; fails if it overruns."""
+
+def _wide_tree(seed):
+    """A random tree of at most 12 nodes with weights from WIDE_WEIGHTS."""
+    rng = random.Random(seed)
+    p = rng.randint(1, 12)
+    return from_parent_list(
+        [None] + [rng.randrange(i) for i in range(1, p)],
+        f=[rng.choice(WIDE_WEIGHTS) for _ in range(p)],
+        n=[rng.choice(WIDE_WEIGHTS) for _ in range(p)],
+    )
+
+
+def _minmem_within(tree, seconds=5.0, minmem=lambda t: solve(t, "minmem")):
+    """``minmem(tree)`` in a daemon thread; fails if it overruns."""
     box = {}
 
     def target():
         try:
-            box["report"] = solve(tree, "minmem")
+            box["report"] = minmem(tree)
         except Exception as exc:
             box["error"] = exc
 
@@ -181,13 +196,7 @@ class TestTermination:
     def test_wide_weight_sweep_answers_or_stalls(self):
         answered = 0
         for seed in range(2000):
-            rng = random.Random(seed)
-            p = rng.randint(1, 12)
-            tree = from_parent_list(
-                [None] + [rng.randrange(i) for i in range(1, p)],
-                f=[rng.choice(WIDE_WEIGHTS) for _ in range(p)],
-                n=[rng.choice(WIDE_WEIGHTS) for _ in range(p)],
-            )
+            tree = _wide_tree(seed)
             outcome = _minmem_within(tree)
             if "error" in outcome:
                 assert isinstance(outcome["error"], RuntimeError), f"seed {seed}"
@@ -197,3 +206,13 @@ class TestTermination:
                 answered += 1
         assert answered >= 1900
 
+    def test_oracle_answers_or_stalls(self):
+        trees = [from_parent_list(**STALL_PAYLOAD)]
+        trees += [_wide_tree(seed) for seed in ORACLE_HANG_SEEDS]
+        for tree in trees:
+            outcome = _minmem_within(tree, minmem=minmem_oracle.min_mem)
+            if "error" in outcome:
+                assert isinstance(outcome["error"], RuntimeError)
+                assert "floating-point stall" in str(outcome["error"])
+            else:
+                assert len(outcome["report"].traversal) == tree.size

@@ -262,8 +262,8 @@ class TestFaultyBackend:
     def test_mirrors_inner_identity(self):
         backend = FaultyBackend(create_backend("threads"), FaultPlan())
         inner = backend.inner
-        assert (backend.name, backend.releases_gil, backend.service) == (
-            inner.name, inner.releases_gil, inner.service
+        assert (backend.name, backend.summary, backend.releases_gil) == (
+            inner.name, inner.summary, inner.releases_gil
         )
         backend.shutdown()
 
@@ -306,6 +306,25 @@ class TestChaosCampaigns:
             _stable(r) for r in baseline.records
         ]
         assert chaotic.extras["faults"]["injected"] == plan.counts()
+        assert chaotic.extras["unit_retries"] >= 1
+
+    def test_serial_campaign_bit_identical_under_chaos(self):
+        # the serial backend's work units are futures completed inline, so
+        # a chaos plan runs through the same retry path as a pooled one
+        baseline = self._baseline()
+        plan = FaultPlan.seeded(3, 40, worker_kill=1, transient=1,
+                                broken_pool=1, straggler=1,
+                                straggler_delay=0.01)
+        chaotic = run_scenarios(
+            self.SCENARIOS, seed=0, repeat=1, pool="serial", fault_plan=plan,
+        )
+        assert [_stable(r) for r in chaotic.records] == [
+            _stable(r) for r in baseline.records
+        ]
+        assert chaotic.extras["backend"] == "serial"
+        assert chaotic.extras["faults"]["injected"] == plan.counts()
+        assert chaotic.extras["work_units"] > 0
+        # faults that share a work unit share its retry
         assert chaotic.extras["unit_retries"] >= 1
 
     def test_shm_fault_degrades_in_process_with_one_warning(self):
@@ -377,23 +396,6 @@ class TestEngineDegradation:
             assert engine.snapshot()["retries"] == 1
         finally:
             engine.shutdown()
-
-    def test_dask_unavailable_raises_typed_error_eagerly(self):
-        try:
-            import distributed  # noqa: F401
-
-            pytest.skip("dask.distributed is installed")
-        except ImportError:
-            pass
-        from repro.solvers import BackendUnavailableError, solve_many
-        from repro.core.builders import star_tree
-
-        # a missing optional dependency is a configuration mistake, not a
-        # runtime degradation: it raises the typed error instead of the
-        # warn-once serial fallback reserved for platform unavailability
-        with pytest.raises(BackendUnavailableError, match="distributed"):
-            solve_many([chain_tree(5), star_tree(6)], "minmem",
-                       workers=2, pool="dask")
 
 
 # ----------------------------------------------------------------------

@@ -240,7 +240,7 @@ class TestSolveMany:
             solve_many([tree], "minmem", workers=2, pool="thread")
 
     def test_pool_accepts_known_modes(self, tree):
-        for mode in ("persistent", "fresh", "serial"):
+        for mode in ("persistent", "serial", "threads"):
             (reports,) = solve_many([tree], "minmem", pool=mode)
             assert reports["minmem"] == solve(tree, "minmem")
 

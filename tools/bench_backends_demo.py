@@ -6,16 +6,11 @@ persistent run's ``BENCH_*.json`` artifact with every other backend's
 campaign wall time (and its work-splitting counters) embedded under
 ``run.backends``, so one committed artifact carries the whole comparison.
 
-``dask`` is attempted last and skipped with a notice when the optional
-dependency is not installed (the development image omits it; the CI
-optional-deps job has it), so the committed artifact from a plain checkout
-compares ``persistent`` vs ``threads`` and the CI run adds the cluster.
-
 Usage::
 
     PYTHONPATH=src python tools/bench_backends_demo.py \
         [--scenario service --scenario service_burst] [--workers 4] \
-        [--repeat 2] [--warmup 1] [--seed 0] [--pools persistent,threads,dask] \
+        [--repeat 2] [--warmup 1] [--seed 0] [--pools persistent,threads,serial] \
         [--output BENCH_x.json]
 """
 
@@ -31,7 +26,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.bench import get_scenario, run_scenarios  # noqa: E402
 from repro.bench.artifact import run_to_dict  # noqa: E402
 from repro.solvers import shutdown_engine  # noqa: E402
-from repro.solvers.engine import get_backend_spec  # noqa: E402
 
 
 def _strip(records):
@@ -52,7 +46,7 @@ def main(argv=None) -> int:
     parser.add_argument("--warmup", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--pools", default="persistent,threads,dask",
+        "--pools", default="persistent,threads,serial",
         help="comma-separated backend names, reference run first",
     )
     parser.add_argument("--output", type=Path, default=None)
@@ -70,11 +64,6 @@ def main(argv=None) -> int:
 
     runs = {}
     for pool in pools:
-        spec = get_backend_spec(pool)
-        if not spec.available:
-            print(f"  {pool:<21}: skipped (optional dependency "
-                  f"{spec.requires!r} not installed)", flush=True)
-            continue
         runs[pool] = run_scenarios(scenarios, pool=pool, **common)
         shutdown_engine()
         extras = runs[pool].extras
@@ -84,7 +73,7 @@ def main(argv=None) -> int:
               f"{extras['straggler_resplits']} re-splits)", flush=True)
 
     if not runs:
-        print("error: no requested backend is available", file=sys.stderr)
+        print("error: --pools names no backend", file=sys.stderr)
         return 1
     reference_pool, reference = next(iter(runs.items()))
     for pool, run in runs.items():
